@@ -164,7 +164,15 @@ def main(argv=None) -> int:
     if args.command == "jacobi":
         code, text = _run_jacobi(args)
     elif args.command == "analytic":
-        code, text = _run_analytic(args)
+        try:
+            code, text = _run_analytic(args)
+        except (ValueError, ArithmeticError, analytic.ConvergenceError,
+                analytic.PoleProximity) as exc:
+            # q outside (0, 1), or so close to 1 that the float products
+            # underflow or fail to converge: a usage error, not a mismatch
+            sys.stderr.write(f"superdenom analytic: error: cannot evaluate at "
+                             f"q={args.q}, tol={args.tol}: {exc}\n")
+            return 2
     elif args.command == "dump":
         code, text = _run_dump(args)
     else:

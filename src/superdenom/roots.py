@@ -43,13 +43,6 @@ class Weight:
         scalar = Fraction(scalar)
         return Weight(tuple(scalar * a for a in self.coords))
 
-    def serialize(self) -> list[str]:
-        return [str(c) for c in self.coords]
-
-    @staticmethod
-    def deserialize(items) -> "Weight":
-        return Weight.of(*[Fraction(s) for s in items])
-
 
 ZERO = Weight.of(0, 0, 0, 0, 0, 0)
 EPS1 = Weight.of(1, 0, 0, 0, 0, 0)
@@ -108,23 +101,12 @@ class WeylElement:
             v = translate(self.p * ALPHA, v)
         return v
 
-    def serialize(self) -> dict:
-        return {"p": self.p, "eps": self.eps, "pp": self.pp, "epsp": self.epsp}
-
 
 IDENTITY = WeylElement()
 S_ALPHA = WeylElement(eps=1)
 S_GAMMA = WeylElement(epsp=1)
 T_ALPHA = WeylElement(p=1)
 T_GAMMA = WeylElement(pp=1)
-
-
-def weyl_apply(w: WeylElement, lam: Weight) -> Weight:
-    return w.apply(lam)
-
-
-def weyl_sgn(w: WeylElement) -> int:
-    return w.sgn()
 
 
 def compose(w1: WeylElement, w2: WeylElement) -> WeylElement:

@@ -5,6 +5,27 @@ change of basis K mapping raw monomial exponents to cone coordinates.  A
 monomial is admissible when its cone coordinates are componentwise
 nonnegative; its degree is their sum, so each degree slice is finite and
 truncation at a degree cutoff is exact.  Coefficients are Python ints.
+
+Term store.  A series of rank r and cutoff N keeps one dict per degree
+0..N; a term sits in the dict of its degree, keyed by one int
+
+    key = c0 * B**(r-1) + c1 * B**(r-2) + ... + c_{r-1},    B = N + 1,
+
+where (c0, ..., c_{r-1}) are its cone coordinates.  The packing is exact
+(Kronecker substitution): a stored term has nonnegative coordinates summing
+to at most N, so each coordinate is a single base-B digit.  A product of two
+terms whose degrees sum to at most N again has every coordinate <= N, so
+adding the two keys carries no digit and gives the key of the product:
+multiplying by a monomial is one int addition, and the slice index already
+says whether the product survives the truncation.  The digits are
+big-endian, so int order of keys equals lex order of coordinates and the
+canonical order is (degree, key).  Keys depend on B, so series with
+different cutoffs do not share keys: `mul`, `linear_combine`, `restrict`
+and `diff_up_to` first repack the larger-cutoff operand onto the smaller
+base, dropping its degrees above the smaller cutoff.  Coordinate tuples and
+raw exponents appear only where callers see them: the constructor,
+`from_terms`, `monomial`, `coeff`, `slice`, `items_canonical`, `support`
+and the JSON interchange format.
 """
 
 from __future__ import annotations
@@ -129,40 +150,93 @@ def q_lattice() -> LatticeSpec:
     return LatticeSpec(1, ((1,),))
 
 
+def _pack(coords, base: int) -> int:
+    """Big-endian base-``base`` number whose digits are ``coords``."""
+    key = 0
+    for c in coords:
+        key = key * base + c
+    return key
+
+
+def _unpack(key: int, base: int, rank: int):
+    coords = [0] * rank
+    for i in range(rank - 1, -1, -1):
+        key, coords[i] = divmod(key, base)
+    return tuple(coords)
+
+
+def _empty(cutoff: int):
+    return [{} for _ in range(cutoff + 1)]
+
+
+def _add_shifted(dst, src, m, scale):
+    """dst += scale * t * src in place, t the monomial of packed key m.
+
+    Drops every coefficient that cancels to 0.  Every term of src must be
+    nonzero and land at most at the cutoff, so the key sum does not carry.
+    """
+    get = dst.get
+    for k, c in src.items():
+        k += m
+        v = get(k, 0) + scale * c
+        if v:
+            dst[k] = v
+        else:
+            del dst[k]
+
+
 class GradedSeries:
     """Truncated exact series with cone-supported terms.
 
     Immutable by convention: no public mutator, operations return new
-    instances.  Terms are stored keyed by cone coordinates.
+    instances.  ``_slices[d]`` maps the packed key of every degree-d term
+    to its nonzero coefficient, for d = 0..cutoff.  With rank r and
+    B = cutoff + 1 the key of cone coordinates (c0, ..., c_{r-1}) is
+    c0*B**(r-1) + ... + c_{r-1}: every stored coordinate lies in
+    [0, cutoff], so the packing is exact, and it is big-endian, so key
+    order is lex order of coordinates.  Keys are only comparable between
+    series of the same cutoff; see the module docstring for when a series
+    is repacked.
     """
 
-    __slots__ = ("lattice", "cutoff", "_terms")
+    __slots__ = ("lattice", "cutoff", "_slices")
 
-    def __init__(self, lattice: LatticeSpec, cutoff: int, terms=None, _validated=False):
+    def __init__(self, lattice: LatticeSpec, cutoff: int, terms=None):
+        """Build from a {cone coordinates: nonzero int coefficient} mapping."""
         if cutoff < 0:
             raise ValueError("cutoff must be nonnegative")
-        terms = terms or {}
-        if not _validated:
-            for k, c in terms.items():
-                if len(k) != lattice.rank or any(x < 0 for x in k):
-                    raise SupportViolation(f"coordinates {k} outside cone")
-                if sum(k) > cutoff:
-                    raise SupportViolation(f"coordinates {k} beyond cutoff {cutoff}")
-                if not isinstance(c, int) or c == 0:
-                    raise ValueError(f"bad coefficient {c!r}")
+        slices = _empty(cutoff)
+        for k, c in (terms or {}).items():
+            if (len(k) != lattice.rank
+                    or any(not isinstance(x, int) or x < 0 for x in k)):
+                raise SupportViolation(f"coordinates {k} outside cone")
+            if sum(k) > cutoff:
+                raise SupportViolation(f"coordinates {k} beyond cutoff {cutoff}")
+            if not isinstance(c, int) or c == 0:
+                raise ValueError(f"bad coefficient {c!r}")
+            slices[sum(k)][_pack(k, cutoff + 1)] = c
         self.lattice = lattice
         self.cutoff = cutoff
-        self._terms = terms
+        self._slices = slices
+
+    @classmethod
+    def _of(cls, lattice, cutoff, slices):
+        """Wrap per-degree dicts of packed keys without checking them."""
+        s = object.__new__(cls)
+        s.lattice = lattice
+        s.cutoff = cutoff
+        s._slices = slices
+        return s
 
     # -- constructors ----------------------------------------------------
 
     @classmethod
     def zero(cls, lattice, cutoff):
-        return cls(lattice, cutoff, {}, _validated=True)
+        return cls._of(lattice, cutoff, _empty(cutoff))
 
     @classmethod
     def one(cls, lattice, cutoff):
-        return cls(lattice, cutoff, {(0,) * lattice.rank: 1}, _validated=True)
+        return cls.monomial(lattice, cutoff, (0,) * lattice.rank)
 
     @classmethod
     def monomial(cls, lattice, cutoff, exps, coeff=1):
@@ -171,14 +245,15 @@ class GradedSeries:
             raise SupportViolation(f"monomial {exps} outside cone")
         if deg > cutoff:
             raise SupportViolation(f"monomial {exps} beyond cutoff {cutoff}")
-        if coeff == 0:
-            return cls.zero(lattice, cutoff)
-        return cls(lattice, cutoff, {coords: coeff}, _validated=True)
+        slices = _empty(cutoff)
+        if coeff != 0:
+            slices[deg][_pack(coords, cutoff + 1)] = coeff
+        return cls._of(lattice, cutoff, slices)
 
     @classmethod
     def from_terms(cls, lattice, cutoff, raw_terms):
         """Build from a {raw exponents: coefficient} mapping."""
-        terms = {}
+        slices = _empty(cutoff)
         for exps, c in raw_terms.items():
             if c == 0:
                 continue
@@ -187,20 +262,21 @@ class GradedSeries:
                 raise SupportViolation(f"monomial {exps} outside cone")
             if deg > cutoff:
                 raise SupportViolation(f"monomial {exps} beyond cutoff {cutoff}")
-            terms[coords] = terms.get(coords, 0) + c
-        return cls(lattice, cutoff, {k: v for k, v in terms.items() if v}, _validated=True)
+            # K is unimodular, so distinct exponents have distinct keys
+            slices[deg][_pack(coords, cutoff + 1)] = c
+        return cls._of(lattice, cutoff, slices)
 
     # -- queries ---------------------------------------------------------
 
     def __len__(self):
-        return len(self._terms)
+        return sum(map(len, self._slices))
 
     @property
     def constant_term(self) -> int:
-        return self._terms.get((0,) * self.lattice.rank, 0)
+        return self._slices[0].get(0, 0)
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not any(self._slices)
 
     def coeff(self, exps) -> int:
         """Exact coefficient of the raw-exponent monomial.
@@ -213,13 +289,16 @@ class GradedSeries:
             return 0
         if deg > self.cutoff:
             raise BeyondCutoff(f"degree {deg} beyond truncation {self.cutoff}")
-        return self._terms.get(coords, 0)
+        return self._slices[deg].get(_pack(coords, self.cutoff + 1), 0)
 
     def slice(self, d: int):
         """All monomials of degree exactly d, as {raw exponents: coefficient}."""
         if d > self.cutoff:
             raise BeyondCutoff(f"degree {d} beyond truncation {self.cutoff}")
-        return {self.lattice.to_exps(k): c for k, c in self._terms.items() if sum(k) == d}
+        if d < 0:
+            return {}
+        base, rank, to_exps = self.cutoff + 1, self.lattice.rank, self.lattice.to_exps
+        return {to_exps(_unpack(k, base, rank)): c for k, c in self._slices[d].items()}
 
     def support(self):
         """Raw exponents of all stored monomials, canonically ordered."""
@@ -227,8 +306,11 @@ class GradedSeries:
 
     def items_canonical(self):
         """(coords, raw exponents, coefficient), degree-major then lex order."""
-        for k in sorted(self._terms, key=lambda k: (sum(k), k)):
-            yield k, self.lattice.to_exps(k), self._terms[k]
+        base, rank, to_exps = self.cutoff + 1, self.lattice.rank, self.lattice.to_exps
+        for sl in self._slices:
+            for key in sorted(sl):
+                k = _unpack(key, base, rank)
+                yield k, to_exps(k), sl[key]
 
     def equal_up_to(self, other: "GradedSeries", d: int) -> bool:
         return not self.diff_up_to(other, d, limit=1)
@@ -243,38 +325,41 @@ class GradedSeries:
             raise LatticeMismatch("cannot compare series over different lattices")
         if d > self.cutoff or d > other.cutoff:
             raise BeyondCutoff(f"degree {d} beyond truncation")
-        keys = set(self._terms) | set(other._terms)
+        cutoff = min(self.cutoff, other.cutoff)
+        a, b = _repack(self, cutoff), _repack(other, cutoff)
+        base, rank = cutoff + 1, self.lattice.rank
         diffs = []
-        for k in sorted(keys, key=lambda k: (sum(k), k)):
-            if sum(k) > d:
+        for deg in range(d + 1):
+            sa, sb = a[deg], b[deg]
+            if sa == sb:
                 continue
-            ca = self._terms.get(k, 0)
-            cb = other._terms.get(k, 0)
-            if ca != cb:
-                diffs.append((self.lattice.to_exps(k), ca, cb))
-                if limit is not None and len(diffs) >= limit:
-                    break
+            for key in sorted(sa.keys() | sb.keys()):
+                ca, cb = sa.get(key, 0), sb.get(key, 0)
+                if ca != cb:
+                    diffs.append((self.lattice.to_exps(_unpack(key, base, rank)), ca, cb))
+                    if limit is not None and len(diffs) >= limit:
+                        return diffs
         return diffs
 
     def restrict(self, m: int) -> "GradedSeries":
         """The same series truncated at the lower cutoff m."""
         if m > self.cutoff:
             raise BeyondCutoff(f"cannot extend cutoff {self.cutoff} to {m}")
-        return GradedSeries(self.lattice, m,
-                            {k: c for k, c in self._terms.items() if sum(k) <= m},
-                            _validated=True)
+        if m < 0:
+            raise ValueError("cutoff must be nonnegative")
+        return GradedSeries._of(self.lattice, m, _repack(self, m))
 
     def __eq__(self, other):
         return (isinstance(other, GradedSeries)
                 and self.lattice == other.lattice
                 and self.cutoff == other.cutoff
-                and self._terms == other._terms)
+                and self._slices == other._slices)
 
     __hash__ = None
 
     def __repr__(self):
         return (f"GradedSeries(rank={self.lattice.rank}, cutoff={self.cutoff}, "
-                f"terms={len(self._terms)})")
+                f"terms={len(self)})")
 
 
 def _check_same_lattice(a: GradedSeries, b: GradedSeries):
@@ -282,11 +367,17 @@ def _check_same_lattice(a: GradedSeries, b: GradedSeries):
         raise LatticeMismatch("series over different lattices")
 
 
-def _slices(terms, cutoff):
-    out = [dict() for _ in range(cutoff + 1)]
-    for k, c in terms.items():
-        out[sum(k)][k] = c
-    return out
+def _repack(s: GradedSeries, cutoff: int):
+    """The slices of s up to ``cutoff <= s.cutoff``, keyed in base cutoff + 1.
+
+    Returns s's own slices when the cutoff is unchanged; callers only read
+    the result.
+    """
+    if cutoff == s.cutoff:
+        return s._slices
+    old, new, rank = s.cutoff + 1, cutoff + 1, s.lattice.rank
+    return [{_pack(_unpack(k, old, rank), new): c for k, c in sl.items()}
+            for sl in s._slices[:new]]
 
 
 def linear_combine(pairs) -> GradedSeries:
@@ -296,38 +387,31 @@ def linear_combine(pairs) -> GradedSeries:
         raise ValueError("empty combination")
     lattice = pairs[0][1].lattice
     cutoff = min(s.cutoff for _, s in pairs)
-    out = {}
+    out = _empty(cutoff)
     for scalar, s in pairs:
         _check_same_lattice(pairs[0][1], s)
         if scalar == 0:
             continue
-        for k, c in s._terms.items():
-            if sum(k) <= cutoff:
-                out[k] = out.get(k, 0) + scalar * c
-    return GradedSeries(lattice, cutoff, {k: v for k, v in out.items() if v},
-                        _validated=True)
+        for dst, src in zip(out, _repack(s, cutoff)):
+            _add_shifted(dst, src, 0, scalar)
+    return GradedSeries._of(lattice, cutoff, out)
 
 
 def mul(a: GradedSeries, b: GradedSeries) -> GradedSeries:
     """Exact product, truncated at min(cutoff_a, cutoff_b)."""
     _check_same_lattice(a, b)
     cutoff = min(a.cutoff, b.cutoff)
-    if len(a._terms) > len(b._terms):
-        a, b = b, a
-    bl = sorted((sum(k), k, c) for k, c in b._terms.items())
-    out = {}
-    get = out.get
-    for ka, ca in a._terms.items():
-        budget = cutoff - sum(ka)
-        if budget < 0:
+    asl, bsl = _repack(a, cutoff), _repack(b, cutoff)
+    out = _empty(cutoff)
+    for da, sa in enumerate(asl):
+        if not sa:
             continue
-        for db, kb, cb in bl:
-            if db > budget:
-                break
-            key = tuple(map(add, ka, kb))
-            out[key] = get(key, 0) + ca * cb
-    return GradedSeries(a.lattice, cutoff, {k: v for k, v in out.items() if v},
-                        _validated=True)
+        for db in range(cutoff - da + 1):
+            sb = bsl[db]
+            if sb:
+                for ka, ca in sa.items():
+                    _add_shifted(out[da + db], sb, ka, ca)
+    return GradedSeries._of(a.lattice, cutoff, out)
 
 
 def invert(s: GradedSeries) -> GradedSeries:
@@ -336,37 +420,22 @@ def invert(s: GradedSeries) -> GradedSeries:
     Requires constant term +-1; this is exactly invertibility in the
     cone-supported integer ring.
     """
-    rank = s.lattice.rank
-    zero = (0,) * rank
-    c0 = s._terms.get(zero, 0)
+    c0 = s.constant_term
     if c0 not in (1, -1):
         raise NotInvertible(
             f"constant term {c0} is not a unit in the cone-supported ring")
-    n = s.cutoff
-    ssl = _slices(s._terms, n)
-    rsl = [{zero: c0}]
-    for d in range(1, n + 1):
+    ssl = s._slices
+    rsl = [{0: c0}]
+    for d in range(1, s.cutoff + 1):
         acc = {}
-        get = acc.get
         for j in range(1, d + 1):
-            sj = ssl[j]
-            if not sj:
-                continue
-            rj = rsl[d - j]
-            if not rj:
-                continue
-            for ku, cu in sj.items():
-                for kv, cv in rj.items():
-                    key = tuple(map(add, ku, kv))
-                    acc[key] = get(key, 0) + cu * cv
-        rsl.append({k: -c0 * v for k, v in acc.items() if v})
-    terms = {}
-    for sl in rsl:
-        terms.update(sl)
-    return GradedSeries(s.lattice, n, terms, _validated=True)
+            for ku, cu in ssl[j].items():
+                _add_shifted(acc, rsl[d - j], ku, -c0 * cu)
+        rsl.append(acc)
+    return GradedSeries._of(s.lattice, s.cutoff, rsl)
 
 
-def _binomial_coords(lattice, cutoff, exps):
+def _binomial_coords(lattice, exps):
     coords, in_cone, deg = cone_coords(lattice, exps)
     if not in_cone or deg <= 0:
         raise SupportViolation(
@@ -374,45 +443,41 @@ def _binomial_coords(lattice, cutoff, exps):
     return coords, deg
 
 
+def _mul_binomial(slices, sign, m, dm):
+    """slices *= (1 + sign * t) in place, t of packed key m and degree dm > 0.
+
+    Walks the degrees from high to low, so every slice is read before it
+    receives the contributions of lower degrees.
+    """
+    for d in range(len(slices) - 1 - dm, -1, -1):
+        _add_shifted(slices[d + dm], slices[d], m, sign)
+
+
+def _div_binomial(slices, sign, m, dm):
+    """slices /= (1 + sign * t) in place, t of packed key m and degree dm > 0.
+
+    Walks the degrees from low to high: the quotient's slice d is slice d
+    of the dividend minus sign * t times the finished quotient slice d - dm.
+    """
+    for d in range(dm, len(slices)):
+        _add_shifted(slices[d], slices[d - dm], m, -sign)
+
+
+def _binomial(s: GradedSeries, sign: int, exps, op) -> GradedSeries:
+    g, dg = _binomial_coords(s.lattice, exps)
+    slices = [dict(sl) for sl in s._slices]
+    op(slices, sign, _pack(g, s.cutoff + 1), dg)
+    return GradedSeries._of(s.lattice, s.cutoff, slices)
+
+
 def mul_binomial(s: GradedSeries, sign: int, exps) -> GradedSeries:
     """Multiply by (1 + sign * m) for an in-cone monomial m of positive degree."""
-    g, dg = _binomial_coords(s.lattice, s.cutoff, exps)
-    return _mul_binomial(s, sign, g, dg)
-
-
-def _mul_binomial(s, sign, g, dg):
-    cutoff = s.cutoff
-    out = dict(s._terms)
-    get = out.get
-    for k, c in s._terms.items():
-        if sum(k) + dg <= cutoff:
-            key = tuple(map(add, k, g))
-            out[key] = get(key, 0) + sign * c
-    return GradedSeries(s.lattice, cutoff, {k: v for k, v in out.items() if v},
-                        _validated=True)
+    return _binomial(s, sign, exps, _mul_binomial)
 
 
 def div_binomial(s: GradedSeries, sign: int, exps) -> GradedSeries:
     """Divide by (1 + sign * m): multiply by the geometric series of -sign*m."""
-    g, dg = _binomial_coords(s.lattice, s.cutoff, exps)
-    return _div_binomial(s, sign, g, dg)
-
-
-def _div_binomial(s, sign, g, dg):
-    cutoff = s.cutoff
-    ssl = _slices(s._terms, cutoff)
-    rsl = []
-    for d in range(cutoff + 1):
-        cur = dict(ssl[d])
-        if d >= dg:
-            for k, c in rsl[d - dg].items():
-                key = tuple(map(add, k, g))
-                cur[key] = cur.get(key, 0) - sign * c
-        rsl.append({k: v for k, v in cur.items() if v})
-    terms = {}
-    for sl in rsl:
-        terms.update(sl)
-    return GradedSeries(s.lattice, cutoff, terms, _validated=True)
+    return _binomial(s, sign, exps, _div_binomial)
 
 
 def apply_pochhammer(s: GradedSeries, head, step, sign: int,
@@ -420,18 +485,20 @@ def apply_pochhammer(s: GradedSeries, head, step, sign: int,
     """Multiply (or divide) by prod_{n>=0} (1 + sign * step^n * head).
 
     Only factors whose monomial has degree <= cutoff differ from 1 below
-    the truncation, so the loop is finite.
+    the truncation, so the loop is finite.  s itself is left untouched:
+    the passes run in place on one copy of its slices.
     """
-    lattice = s.lattice
-    h, dh = _binomial_coords(lattice, s.cutoff, head)
-    g, dg = _binomial_coords(lattice, s.cutoff, step)
+    lattice, cutoff = s.lattice, s.cutoff
+    h, dm = _binomial_coords(lattice, head)
+    g, dg = _binomial_coords(lattice, step)
+    m, step_key = _pack(h, cutoff + 1), _pack(g, cutoff + 1)
     op = _div_binomial if inverse else _mul_binomial
-    m, dm = h, dh
-    while dm <= s.cutoff:
-        s = op(s, sign, m, dm)
-        m = tuple(map(add, m, g))
+    slices = [dict(sl) for sl in s._slices]
+    while dm <= cutoff:
+        op(slices, sign, m, dm)
+        m += step_key
         dm += dg
-    return s
+    return GradedSeries._of(lattice, cutoff, slices)
 
 
 def pochhammer(lattice: LatticeSpec, cutoff: int, head, step, sign: int) -> GradedSeries:
@@ -486,14 +553,15 @@ def expand_term(lattice: LatticeSpec, cutoff: int, sign: int, base,
         raise SupportViolation(f"leading monomial {base} outside cone")
     if deg > cutoff:
         return GradedSeries.zero(lattice, cutoff)
-    s = GradedSeries(lattice, cutoff, {coords: sign}, _validated=True)
+    slices = _empty(cutoff)
+    slices[deg][_pack(coords, cutoff + 1)] = sign
     for e in num_g:
-        g, dg = _binomial_coords(lattice, cutoff, e)
-        s = _mul_binomial(s, -1, g, dg)
+        g, dg = _binomial_coords(lattice, e)
+        _mul_binomial(slices, -1, _pack(g, cutoff + 1), dg)
     for e in den_g:
-        g, dg = _binomial_coords(lattice, cutoff, e)
-        s = _div_binomial(s, 1, g, dg)
-    return s
+        g, dg = _binomial_coords(lattice, e)
+        _div_binomial(slices, 1, _pack(g, cutoff + 1), dg)
+    return GradedSeries._of(lattice, cutoff, slices)
 
 
 # -- interchange format ------------------------------------------------------
@@ -510,20 +578,48 @@ def serialize(s: GradedSeries) -> str:
     return json.dumps(doc, separators=(",", ":"))
 
 
+def _is_decimal(x) -> bool:
+    digits = x[1:] if isinstance(x, str) and x.startswith("-") else x
+    return isinstance(digits, str) and digits.isascii() and digits.isdigit()
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _int_row(x, n: int) -> bool:
+    return isinstance(x, list) and len(x) == n and all(map(_is_int, x))
+
+
 def deserialize(text: str) -> GradedSeries:
+    """Inverse of `serialize`; every malformed stream raises SeriesError."""
     try:
         doc = json.loads(text)
-        lattice = LatticeSpec(doc["rank"], tuple(tuple(r) for r in doc["K"]))
-        cutoff = doc["cutoff"]
-        records = doc["terms"]
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+    except (TypeError, ValueError) as exc:
         raise SeriesError(f"malformed series stream: {exc}") from None
-    terms = {}
+    if not isinstance(doc, dict):
+        raise SeriesError("malformed series stream: not a JSON object")
+    rank, K, cutoff, records = (doc.get(f) for f in ("rank", "K", "cutoff", "terms"))
+    if not (_is_int(rank) and _is_int(cutoff) and cutoff >= 0
+            and isinstance(K, list) and all(_int_row(r, rank) for r in K)
+            and isinstance(records, list)):
+        raise SeriesError("malformed series header: rank, K, cutoff or terms")
+    try:
+        lattice = LatticeSpec(rank, tuple(map(tuple, K)))
+    except ValueError as exc:
+        raise SeriesError(f"malformed series lattice: {exc}") from None
+    slices = _empty(cutoff)
     for rec in records:
+        if not (isinstance(rec, dict) and _int_row(rec.get("k"), rank)
+                and _int_row(rec.get("e"), rank)
+                and _is_decimal(rec.get("c"))):
+            raise SeriesError(f"malformed record {rec}")
+        try:
+            c = int(rec["c"])
+        except ValueError as exc:  # longer than the int conversion limit
+            raise SeriesError(f"malformed record coefficient: {exc}") from None
         coords = tuple(rec["k"])
-        exps = tuple(rec["e"])
-        c = int(rec["c"])
-        if coords != lattice.to_coords(exps):
+        if coords != lattice.to_coords(rec["e"]):
             raise SeriesError(f"inconsistent record {rec}")
         if any(x < 0 for x in coords):
             raise SeriesError(f"out-of-cone record {rec}")
@@ -531,7 +627,8 @@ def deserialize(text: str) -> GradedSeries:
             raise SeriesError(f"record {rec} beyond cutoff")
         if c == 0:
             raise SeriesError(f"zero coefficient record {rec}")
-        if coords in terms:
+        dst, key = slices[sum(coords)], _pack(coords, cutoff + 1)
+        if key in dst:
             raise SeriesError(f"duplicate record {rec}")
-        terms[coords] = c
-    return GradedSeries(lattice, cutoff, terms, _validated=True)
+        dst[key] = c
+    return GradedSeries._of(lattice, cutoff, slices)

@@ -29,7 +29,7 @@ def theta(order: int, sign: int = 1) -> GradedSeries:
     while j * j <= order:
         terms[(j * j,)] = 2 * (sign ** (j * j))
         j += 1
-    return GradedSeries(QL, order, terms, _validated=True)
+    return GradedSeries(QL, order, terms)
 
 
 @lru_cache(maxsize=None)

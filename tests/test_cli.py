@@ -82,6 +82,17 @@ def test_analytic_json(capsys):
     assert doc["ratio_one_max_dev"] < 1e-8
 
 
+@pytest.mark.parametrize("q", ["1.5", "0.999"])
+def test_analytic_unusable_q_is_usage_error(capsys, q):
+    # 1.5 is outside (0, 1); at 0.999 the float products underflow to 0
+    code = main(["analytic", "--q", q])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "Traceback" not in captured.err
+
+
 def test_dump_round_trips(capsys):
     from superdenom.series import deserialize
     from superdenom import identities

@@ -7,7 +7,16 @@ import pytest
 
 from superdenom import identities as ids
 from superdenom import roots
-from superdenom.series import GradedSeries, expand_term, linear_combine, mul
+from superdenom.series import (
+    GradedSeries,
+    apply_pochhammer,
+    div_binomial,
+    expand_term,
+    linear_combine,
+    mul,
+    mul_binomial,
+    serialize,
+)
 
 GL = ids.GL
 GL3 = ids.GL3
@@ -23,6 +32,20 @@ def _golden_slices():
 
 
 # -- product side ------------------------------------------------------------
+
+
+def test_passes_leave_cached_lhs_unchanged():
+    # build_lhs is lru_cached, so the in-place binomial passes must run on a
+    # copy of their input, never on the cached series itself
+    lhs = ids.build_lhs(10)
+    before = serialize(lhs)
+    apply_pochhammer(lhs, (0, 1, 0, 0), ids.Q, -1)
+    apply_pochhammer(lhs, (0, 0, 1, 0), ids.Q, 1, inverse=True)
+    mul_binomial(lhs, -1, (0, 1, 0, 0))
+    div_binomial(lhs, 1, (0, 0, 1, 0))
+    ids.divide_by_lhs(lhs)
+    assert ids.build_lhs(10) is lhs
+    assert serialize(lhs) == before
 
 
 def test_lhs_low_degree_slices_match_golden():

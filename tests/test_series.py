@@ -1,6 +1,7 @@
 """Core series layer: lattices, cone grading, exact arithmetic, serialization."""
 
 import random
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +34,7 @@ from superdenom.series import (
 GL = gl_lattice()
 GL3 = finite_gl_lattice()
 QL = q_lattice()
+SL21 = sl21_lattice()
 
 
 # -- lattice and grading -----------------------------------------------------
@@ -78,7 +80,7 @@ def test_kinv_columns_are_dual_basis_monomials():
 
 def test_unimodular_round_trip():
     rng = random.Random(7)
-    for lattice in (GL, GL3, sl21_lattice(), QL):
+    for lattice in (GL, GL3, SL21, QL):
         for _ in range(50):
             e = tuple(rng.randrange(-9, 10) for _ in range(lattice.rank))
             assert lattice.to_exps(lattice.to_coords(e)) == e
@@ -186,6 +188,11 @@ def _random_series(rng, lattice, cutoff, n_terms, unit=False):
     return GradedSeries(lattice, cutoff, terms)
 
 
+def _coord_terms(s):
+    """{cone coordinates: coefficient}, read through the public API."""
+    return {k: c for k, _, c in s.items_canonical()}
+
+
 def test_invert_round_trip_100_random():
     rng = random.Random(20240817)
     one3 = GradedSeries.one(GL3, 10)
@@ -203,6 +210,31 @@ def test_binomial_ops_match_generic():
         assert mul_binomial(s, -1, e) == mul(s, binom)
         assert div_binomial(s, -1, e) == mul(s, invert(binom))
         assert div_binomial(mul_binomial(s, 1, e), 1, e) == s
+
+
+@pytest.mark.parametrize("lattice", [GL, GL3, SL21, QL])
+def test_carry_boundary_coordinate_at_cutoff(lattice):
+    # a coordinate equal to the cutoff is the largest digit of a packed key;
+    # products that leave the cutoff must vanish, not carry into a neighbour
+    n, rank = 5, lattice.rank
+    units = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    for i in range(rank):
+        top = tuple(n * x for x in units[i])
+        below = tuple((n - 1) * x for x in units[i])
+        t = GradedSeries(lattice, n, {top: 3})
+        b = GradedSeries(lattice, n, {below: -2})
+        for u in units:
+            g = lattice.to_exps(u)
+            assert mul_binomial(t, 1, g) == t
+            assert div_binomial(t, -1, g) == t
+            assert mul(t, GradedSeries(lattice, n, {u: 1})).is_zero()
+            up = mul_binomial(b, 1, g)
+            assert up == GradedSeries(lattice, n, {below: -2,
+                                                   tuple(map(add, below, u)): -2})
+            assert div_binomial(up, 1, g) == b
+        geo = invert(GradedSeries(lattice, n, {(0,) * rank: 1, units[i]: -1}))
+        assert _coord_terms(geo) == {tuple(j * x for x in units[i]): 1
+                                     for j in range(n + 1)}
 
 
 def test_binomial_degree_zero_rejected():
@@ -295,10 +327,44 @@ def test_ring_axioms(a, b, c):
 def test_grading_additivity(a, b):
     # every product monomial has degree = sum of factor degrees
     p = mul(a, b)
-    degrees_a = {sum(k) for k in a._terms}
-    degrees_b = {sum(k) for k in b._terms}
+    degrees_a = {sum(k) for k in _coord_terms(a)}
+    degrees_b = {sum(k) for k in _coord_terms(b)}
     allowed = {da + db for da in degrees_a for db in degrees_b if da + db <= 10}
-    assert {sum(k) for k in p._terms} <= allowed
+    assert {sum(k) for k in _coord_terms(p)} <= allowed
+
+
+def _series3_at(cutoff):
+    coords = st.tuples(*[st.integers(0, cutoff)] * 3).filter(lambda k: sum(k) <= cutoff)
+    return st.dictionaries(coords, st.integers(-20, 20).filter(bool), max_size=8).map(
+        lambda terms: GradedSeries(GL3, cutoff, terms))
+
+
+mixed_series3 = st.integers(0, 12).flatmap(_series3_at)
+
+
+@settings(max_examples=120, deadline=None)
+@given(mixed_series3, mixed_series3)
+def test_mixed_cutoffs(a, b):
+    # operands of different cutoffs meet on the smaller cutoff's key base;
+    # the oracle works on coordinate tuples
+    m = min(a.cutoff, b.cutoff)
+    ta = {k: c for k, c in _coord_terms(a).items() if sum(k) <= m}
+    tb = {k: c for k, c in _coord_terms(b).items() if sum(k) <= m}
+    assert _coord_terms(a.restrict(m)) == ta
+    prod = {}
+    for ka, ca in ta.items():
+        for kb, cb in tb.items():
+            k = tuple(map(add, ka, kb))
+            if sum(k) <= m:
+                prod[k] = prod.get(k, 0) + ca * cb
+    assert mul(a, b) == GradedSeries(GL3, m, {k: c for k, c in prod.items() if c})
+    comb = {k: 2 * ta.get(k, 0) - 3 * tb.get(k, 0) for k in ta.keys() | tb.keys()}
+    assert linear_combine([(2, a), (-3, b)]) == GradedSeries(
+        GL3, m, {k: c for k, c in comb.items() if c})
+    diffs = [(GL3.to_exps(k), ta.get(k, 0), tb.get(k, 0))
+             for k in sorted(ta.keys() | tb.keys(), key=lambda k: (sum(k), k))
+             if ta.get(k, 0) != tb.get(k, 0)]
+    assert a.diff_up_to(b, m) == diffs
 
 
 @settings(max_examples=80, deadline=None)
@@ -335,6 +401,13 @@ def test_serialize_deterministic():
     '{"rank": 1, "K": [[1]], "cutoff": 3, "terms": [{"k": [1], "e": [1], "c": "0"}]}',
     '{"rank": 1, "K": [[1]], "cutoff": 3, "terms": [{"k": [1], "e": [1], "c": "1"},'
     ' {"k": [1], "e": [1], "c": "2"}]}',
+    '{"rank": 1, "K": [[1]], "cutoff": 3, "terms": [{"k": [1.5], "e": [1.5], "c": "1"}]}',
+    '{"rank": 1, "K": [[1]], "cutoff": 3, "terms": [{"k": [true], "e": [true], "c": "1"}]}',
+    '{"rank": 1, "K": [[1]], "cutoff": 3, "terms": [{"k": [1], "e": [1], "c": 1.5}]}',
+    '{"rank": 1, "K": [[1]], "cutoff": 3, "terms": [1]}',
+    '{"rank": 1, "K": [[1]], "cutoff": 3, "terms": [{"k": [1], "e": [1], "c": "x"}]}',
+    '{"rank": 1, "K": [[1]], "cutoff": "3", "terms": []}',
+    '{"rank": true, "K": [[1]], "cutoff": 3, "terms": []}',
 ])
 def test_deserialize_rejects_malformed(text):
     with pytest.raises(SeriesError):
