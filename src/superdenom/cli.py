@@ -14,13 +14,16 @@ import json
 import sys
 
 from . import analytic, identities, squares
-from .series import serialize
+from .series import MAX_CUTOFF, serialize
 
 
 def _order(value: str) -> int:
     n = int(value)
     if n < 0:
         raise argparse.ArgumentTypeError("order must be nonnegative")
+    if n > MAX_CUTOFF:
+        raise argparse.ArgumentTypeError(
+            f"order {n} is above the ceiling {MAX_CUTOFF}")
     return n
 
 
@@ -35,7 +38,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=help_)
         if order_default is not None:
             sp.add_argument("--order", type=_order, default=order_default,
-                            help=f"degree cutoff (default {order_default})")
+                            help=f"degree cutoff, at most {MAX_CUTOFF} "
+                                 f"(default {order_default})")
         sp.add_argument("--format", choices=("text", "json", "csv"),
                         default="text")
         sp.add_argument("--output", default=None, help="write to file")
@@ -89,16 +93,24 @@ def _report_text(doc: dict) -> str:
     return "\n".join(lines)
 
 
-def _emit(text: str, output):
+def _emit(text: str, output) -> bool:
+    """Write text and a final newline; False (after one stderr line) when
+    the output file cannot be written."""
     if output:
-        with open(output, "w") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
+        try:
+            with open(output, "w") as fh:
+                fh.write(text)
+                if not text.endswith("\n"):
+                    fh.write("\n")
+        except OSError as exc:
+            sys.stderr.write(f"superdenom: error: cannot write {output}: "
+                             f"{exc.strerror or exc}\n")
+            return False
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
+    return True
 
 
 def _run_report(args) -> tuple[int, str]:
@@ -177,8 +189,7 @@ def main(argv=None) -> int:
         code, text = _run_dump(args)
     else:
         code, text = _run_report(args)
-    _emit(text, args.output)
-    return code
+    return code if _emit(text, args.output) else 2
 
 
 if __name__ == "__main__":

@@ -36,6 +36,14 @@ from fractions import Fraction
 from operator import add
 
 
+# Largest cutoff accepted from outside input (`deserialize`, the CLI
+# `--order` and `--max-n`).  A series allocates one dict per degree up to its
+# cutoff, and the product side grows roughly like N**4.5: at N = 224,
+# `verify-denom` takes about a minute and `ratio-support` about 40 s (see
+# README.md).
+MAX_CUTOFF = 224
+
+
 class SeriesError(Exception):
     """Base class for series arithmetic failures."""
 
@@ -592,7 +600,10 @@ def _int_row(x, n: int) -> bool:
 
 
 def deserialize(text: str) -> GradedSeries:
-    """Inverse of `serialize`; every malformed stream raises SeriesError."""
+    """Inverse of `serialize`; every malformed stream raises SeriesError.
+
+    So does a cutoff above MAX_CUTOFF, before anything is allocated for it.
+    """
     try:
         doc = json.loads(text)
     except (TypeError, ValueError) as exc:
@@ -604,6 +615,8 @@ def deserialize(text: str) -> GradedSeries:
             and isinstance(K, list) and all(_int_row(r, rank) for r in K)
             and isinstance(records, list)):
         raise SeriesError("malformed series header: rank, K, cutoff or terms")
+    if cutoff > MAX_CUTOFF:
+        raise SeriesError(f"series cutoff {cutoff} above the ceiling {MAX_CUTOFF}")
     try:
         lattice = LatticeSpec(rank, tuple(map(tuple, K)))
     except ValueError as exc:

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from superdenom.cli import build_parser, main
+from superdenom.series import MAX_CUTOFF
 
 
 def run(capsys, *argv):
@@ -42,6 +43,22 @@ def test_negative_order_rejected(capsys):
         main(["verify-denom", "--order", "-1"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-denom", "--order", str(MAX_CUTOFF + 1)],
+    ["jacobi", "--max-n", str(MAX_CUTOFF + 1)],
+])
+def test_order_above_ceiling_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "ceiling" in capsys.readouterr().err
+
+
+def test_order_at_ceiling_accepted():
+    assert build_parser().parse_args(
+        ["ratio-support", "--order", str(MAX_CUTOFF)]).order == MAX_CUTOFF
 
 
 def test_unknown_command_rejected(capsys):
@@ -118,6 +135,17 @@ def test_output_file(tmp_path, capsys):
     assert capsys.readouterr().out == ""
     doc = json.loads(target.read_text())
     assert doc["matched"] is True
+
+
+def test_unwritable_output_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing-dir" / "report.json"
+    code = main(["verify-denom", "--order", "6", "--output", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert str(target) in captured.err
+    assert not target.exists()
 
 
 def test_parser_defaults():

@@ -71,6 +71,27 @@ def test_divide_by_lhs_inverts_build():
     assert s == GradedSeries.one(GL, 16)
 
 
+def test_factor_schedule_keeps_intermediates_small(monkeypatch):
+    # the factor order is the whole optimisation: the build never holds more
+    # than 1,706 terms at N = 24, and the division of the right side
+    # retraces the build's partial products backwards down to 1
+    sizes = []
+
+    def recording(*args, **kwargs):
+        out = apply_pochhammer(*args, **kwargs)
+        sizes.append(len(out))
+        return out
+
+    monkeypatch.setattr(ids, "apply_pochhammer", recording)
+    ids.build_lhs.__wrapped__(24)
+    built = sizes[:]
+    assert max(built) <= 1706
+    assert len(built) == len(ids._SCHEDULE)
+    sizes.clear()
+    ids.divide_by_lhs(ids.build_rhs(24))
+    assert sizes == built[-2::-1] + [1]
+
+
 # -- prefactor ---------------------------------------------------------------
 
 

@@ -12,6 +12,7 @@ from superdenom.series import (
     GradedSeries,
     LatticeSpec,
     NotInvertible,
+    MAX_CUTOFF,
     SeriesError,
     SupportViolation,
     apply_pochhammer,
@@ -408,6 +409,8 @@ def test_serialize_deterministic():
     '{"rank": 1, "K": [[1]], "cutoff": 3, "terms": [{"k": [1], "e": [1], "c": "x"}]}',
     '{"rank": 1, "K": [[1]], "cutoff": "3", "terms": []}',
     '{"rank": true, "K": [[1]], "cutoff": 3, "terms": []}',
+    # above the ceiling: rejected before one dict per degree is allocated
+    f'{{"rank": 1, "K": [[1]], "cutoff": {MAX_CUTOFF + 1}, "terms": []}}',
 ])
 def test_deserialize_rejects_malformed(text):
     with pytest.raises(SeriesError):
