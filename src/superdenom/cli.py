@@ -93,26 +93,6 @@ def _report_text(doc: dict) -> str:
     return "\n".join(lines)
 
 
-def _emit(text: str, output) -> bool:
-    """Write text and a final newline; False (after one stderr line) when
-    the output file cannot be written."""
-    if output:
-        try:
-            with open(output, "w") as fh:
-                fh.write(text)
-                if not text.endswith("\n"):
-                    fh.write("\n")
-        except OSError as exc:
-            sys.stderr.write(f"superdenom: error: cannot write {output}: "
-                             f"{exc.strerror or exc}\n")
-            return False
-    else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    return True
-
-
 def _run_report(args) -> tuple[int, str]:
     rep = _VERIFIERS[args.command](args.order)
     doc = rep.to_dict(include_millis=False)
@@ -171,8 +151,9 @@ def _run_dump(args) -> tuple[int, str]:
     return 0, serialize(_DUMPERS[args.expr](args.order))
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+def _run(args, out) -> int:
+    """Run the command, write its text and a final newline to out, and
+    return the exit status."""
     if args.command == "jacobi":
         code, text = _run_jacobi(args)
     elif args.command == "analytic":
@@ -189,7 +170,24 @@ def main(argv=None) -> int:
         code, text = _run_dump(args)
     else:
         code, text = _run_report(args)
-    return code if _emit(text, args.output) else 2
+    out.write(text)
+    if not text.endswith("\n"):
+        out.write("\n")
+    return code
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    if not args.output:
+        return _run(args, sys.stdout)
+    try:
+        # opened before any work, so an unwritable path fails at once
+        with open(args.output, "w") as fh:
+            return _run(args, fh)
+    except OSError as exc:
+        sys.stderr.write(f"superdenom: error: cannot write {args.output}: "
+                         f"{exc.strerror or exc}\n")
+        return 2
 
 
 if __name__ == "__main__":

@@ -17,12 +17,11 @@ from . import roots
 from .report import QReport, compare_series
 from .series import (
     GradedSeries,
-    SeriesError,
+    apply_binomials,
     apply_pochhammer,
     expand_term,
     finite_gl_lattice,
     gl_lattice,
-    linear_combine,
     mul,
     sl21_lattice,
 )
@@ -89,7 +88,9 @@ def build_lhs(order: int, method: str = "explicit") -> GradedSeries:
 
     The explicit product applies the factors of `_SCHEDULE` in order, which
     keeps every partial product small: at most about twice the final series
-    at N = 40.
+    at N = 40.  The "roots" method is an independent cross-check: it takes
+    one binomial per positive affine root from `_positive_root_monomials`,
+    so it does not rely on the hand-listed Pochhammer heads of `_SCHEDULE`.
     """
     s = GradedSeries.one(GL, order)
     if method == "explicit":
@@ -97,10 +98,8 @@ def build_lhs(order: int, method: str = "explicit") -> GradedSeries:
             s = apply_pochhammer(s, head, Q, sign, inverse)
         return s
     if method == "roots":
-        from .series import div_binomial, mul_binomial
-        for is_even, e in _positive_root_monomials(order):
-            s = mul_binomial(s, -1, e) if is_even else div_binomial(s, 1, e)
-        return s
+        return apply_binomials(s, [(e, -1, False) if is_even else (e, 1, True)
+                                   for is_even, e in _positive_root_monomials(order)])
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -121,8 +120,10 @@ def divide_by_lhs(s: GradedSeries) -> GradedSeries:
 def build_prefactor(order: int, method: str = "product") -> GradedSeries:
     """((1-q)_q^inf)^2 / ((1-q y2/y1)_q^inf (1-q y1/y2)_q^inf).
 
-    The series form sums the cyclotomic pieces f_n(y1/y2); a monomial
-    q^m (y1/y2)^k has degree 4m and needs |k| <= m to stay in the cone.
+    The "fn_series" form is an independent cross-check: it writes down the
+    coefficients of the cyclotomic pieces f_n(y1/y2) in closed form, with
+    no series multiplication or division.  A monomial q^m (y1/y2)^k has
+    degree 4m and needs |k| <= m to stay in the cone.
     """
     if method == "product":
         s = GradedSeries.one(GL, order)
@@ -156,31 +157,25 @@ def closed_range_bound(order: int) -> int:
     return math.ceil((order + 3) / 4)
 
 
-def _closed_orbit_term(order: int, n: int) -> GradedSeries:
-    t1 = expand_term(GL, order, 1, (n, 0, 0, 0),
-                     dens=[(n, 0, 1, 0), (n, 0, 0, 1)])
-    t2 = expand_term(GL, order, -1, (n, 1, 0, 0),
-                     dens=[(n, 1, 1, 0), (n, 1, 0, 1)])
-    return linear_combine([(1, t1), (1, t2)])
+def _closed_orbit_term(order: int, n: int):
+    return [expand_term(GL, order, 1, (n, 0, 0, 0),
+                        dens=[(n, 0, 1, 0), (n, 0, 0, 1)]),
+            expand_term(GL, order, -1, (n, 1, 0, 0),
+                        dens=[(n, 1, 1, 0), (n, 1, 0, 1)])]
 
 
 @lru_cache(maxsize=None)
 def build_orbit_sum(order: int, method: str = "closed") -> GradedSeries:
-    """Signed affine orbit sum of e^rho/((1+e^{-b1})(1+e^{-b2})), rho-normalized."""
+    """Signed affine orbit sum of e^rho/((1+e^{-b1})(1+e^{-b2})), rho-normalized.
+
+    The closed form sums the two hand-derived terms of each translation
+    power.  The "weyl" method is an independent cross-check: it applies
+    the What_alpha group elements to the seed weight by weight
+    (`roots.WeylElement.apply`), so it does not rely on that derivation.
+    """
     if method == "closed":
-        bound = closed_range_bound(order)
-        parts = [(1, _closed_orbit_term(order, 0))]
-        n = 1
-        while True:
-            ring = [_closed_orbit_term(order, n), _closed_orbit_term(order, -n)]
-            live = [t for t in ring if not t.is_zero()]
-            if not live:
-                break
-            if n > bound:
-                raise SeriesError("closed orbit sum exceeded its degree bound")
-            parts.extend((1, t) for t in live)
-            n += 1
-        return linear_combine(parts)
+        return roots.ring_sum(lambda n: _closed_orbit_term(order, n),
+                              closed_range_bound(order))
     if method == "weyl":
         return roots.orbit_sum("What_alpha", roots.STANDARD_SEED, GL, order)
     raise ValueError(f"unknown method {method!r}")
@@ -256,18 +251,7 @@ def _sl21_ring(order: int, n: int):
 
 @lru_cache(maxsize=None)
 def build_sl21_rhs(order: int) -> GradedSeries:
-    parts = [(1, t) for t in _sl21_ring(order, 0)]
-    n = 1
-    while True:
-        ring = _sl21_ring(order, n) + _sl21_ring(order, -n)
-        live = [t for t in ring if not t.is_zero()]
-        if not live:
-            break
-        if n > order + 8:
-            raise SeriesError("sl(2|1) orbit sum did not terminate")
-        parts.extend((1, t) for t in live)
-        n += 1
-    return linear_combine(parts)
+    return roots.ring_sum(lambda n: _sl21_ring(order, n), order + 8)
 
 
 def verify_sl21(order: int) -> QReport:

@@ -185,52 +185,51 @@ _FINITE_GROUPS = {
 }
 
 
-def _ring(group: str, n: int):
-    """Group elements whose translation power is +-n."""
+def _ring(group: str, k: int):
+    """Group elements whose translation power is k."""
     if group in _FINITE_GROUPS:
-        return _FINITE_GROUPS[group] if n == 0 else ()
+        return _FINITE_GROUPS[group] if k == 0 else ()
     if group == "T_alpha":
-        return (IDENTITY,) if n == 0 else (WeylElement(p=n), WeylElement(p=-n))
+        return (WeylElement(p=k),)
     if group == "T_gamma":
-        return (IDENTITY,) if n == 0 else (WeylElement(pp=n), WeylElement(pp=-n))
+        return (WeylElement(pp=k),)
     if group == "What_alpha":
-        if n == 0:
-            return (IDENTITY, S_ALPHA)
-        return (WeylElement(p=n), WeylElement(p=n, eps=1),
-                WeylElement(p=-n), WeylElement(p=-n, eps=1))
+        return (WeylElement(p=k), WeylElement(p=k, eps=1))
     if group == "What_gamma":
-        if n == 0:
-            return (IDENTITY, S_GAMMA)
-        return (WeylElement(pp=n), WeylElement(pp=n, epsp=1),
-                WeylElement(pp=-n), WeylElement(pp=-n, epsp=1))
+        return (WeylElement(pp=k), WeylElement(pp=k, epsp=1))
     raise ValueError(f"unknown group {group!r}")
+
+
+def ring_sum(terms, bound: int) -> GradedSeries:
+    """Sum of the series that terms(k) lists, over all integers k.
+
+    terms(k) lists the series of translation power k; terms(0) must list
+    at least one, which fixes the lattice and cutoff of the sum.  The sum
+    visits ring n, the powers +-n, for n = 0, 1, 2, ... and stops at the
+    first ring n > 0 whose series are all zero below the cutoff.  A ring
+    past ``bound`` that still contributes raises SeriesError, so a sum that
+    would not terminate fails instead.
+    """
+    parts = list(terms(0))
+    n = 1
+    while True:
+        live = [t for k in (n, -n) for t in terms(k) if not t.is_zero()]
+        if not live:
+            return linear_combine((1, t) for t in parts)
+        if n > bound:
+            raise SeriesError(f"ring {n} past the bound {bound} still contributes")
+        parts += live
+        n += 1
 
 
 def orbit_sum(group: str, seed: OrbitTerm, lattice: LatticeSpec, cutoff: int,
               affine: bool = True) -> GradedSeries:
     """Signed sum of seed over the group, rho-normalized and truncated.
 
-    Group elements are visited ring by ring in the translation power; the
-    sum stops once a full ring contributes nothing below the cutoff, which
-    a safety bound turns into an error for non-terminating inputs.
+    Group elements are visited ring by ring in the translation power, by
+    `ring_sum` with the bound cutoff + 8.
     """
-    parts = []
-    n = 0
-    while True:
-        ring = _ring(group, n)
-        if not ring:
-            break
-        contributed = False
-        for w in ring:
-            s = expand_orbit_term(apply_weyl_term(w, seed), lattice, cutoff, affine)
-            if not s.is_zero():
-                parts.append((1, s))
-                contributed = True
-        if n > 0 and not contributed:
-            break
-        if n > cutoff + 8:
-            raise SeriesError(f"orbit sum over {group} did not terminate")
-        n += 1
-    if not parts:
-        return GradedSeries.zero(lattice, cutoff)
-    return linear_combine(parts)
+    return ring_sum(
+        lambda k: [expand_orbit_term(apply_weyl_term(w, seed), lattice, cutoff, affine)
+                   for w in _ring(group, k)],
+        cutoff + 8)

@@ -33,7 +33,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
 
 
 # Largest cutoff accepted from outside input (`deserialize`, the CLI
@@ -422,70 +421,87 @@ def mul(a: GradedSeries, b: GradedSeries) -> GradedSeries:
     return GradedSeries._of(a.lattice, cutoff, out)
 
 
-def invert(s: GradedSeries) -> GradedSeries:
-    """Multiplicative inverse up to the cutoff, slice by slice.
+def _divide(slices, terms):
+    """slices /= 1 + sum(c * t) in place, over terms (degree > 0, key, c) of
+    t sorted by degree.
 
-    Requires constant term +-1; this is exactly invertibility in the
+    Walks the degrees from low to high: the quotient's slice d is slice d
+    of the dividend minus c * t times the finished quotient slice
+    d - degree(t), for every term.
+    """
+    for d in range(terms[0][0], len(slices)):
+        dst = slices[d]
+        for dm, m, c in terms:
+            if dm > d:
+                break
+            _add_shifted(dst, slices[d - dm], m, -c)
+
+
+def invert(s: GradedSeries) -> GradedSeries:
+    """Multiplicative inverse up to the cutoff: c0 divided by c0 * s.
+
+    Requires constant term c0 = +-1; this is exactly invertibility in the
     cone-supported integer ring.
     """
     c0 = s.constant_term
     if c0 not in (1, -1):
         raise NotInvertible(
             f"constant term {c0} is not a unit in the cone-supported ring")
-    ssl = s._slices
-    rsl = [{0: c0}]
-    for d in range(1, s.cutoff + 1):
-        acc = {}
-        for j in range(1, d + 1):
-            for ku, cu in ssl[j].items():
-                _add_shifted(acc, rsl[d - j], ku, -c0 * cu)
-        rsl.append(acc)
-    return GradedSeries._of(s.lattice, s.cutoff, rsl)
+    slices = _empty(s.cutoff)
+    slices[0][0] = c0
+    terms = [(d, k, c0 * c) for d, sl in enumerate(s._slices) if d
+             for k, c in sl.items()]
+    if terms:
+        _divide(slices, terms)
+    return GradedSeries._of(s.lattice, s.cutoff, slices)
 
 
-def _binomial_coords(lattice, exps):
-    coords, in_cone, deg = cone_coords(lattice, exps)
+def _monomial_key(s: GradedSeries, exps):
+    """(degree, packed key) of the monomial of raw exponents exps, which
+    must lie in the cone with positive degree."""
+    coords, in_cone, deg = cone_coords(s.lattice, exps)
     if not in_cone or deg <= 0:
         raise SupportViolation(
             f"binomial monomial {exps} must lie in the cone with positive degree")
-    return coords, deg
+    return deg, _pack(coords, s.cutoff + 1)
 
 
-def _mul_binomial(slices, sign, m, dm):
-    """slices *= (1 + sign * t) in place, t of packed key m and degree dm > 0.
+def _apply(s: GradedSeries, factors) -> GradedSeries:
+    """s times every packed factor (degree, key, sign, inverse) in turn.
 
-    Walks the degrees from high to low, so every slice is read before it
-    receives the contributions of lower degrees.
+    Each factor is (1 + sign * t) or, if inverse, its inverse, for the
+    monomial t of that key and degree > 0.  s itself is left untouched: the
+    passes run in place on one copy of its slices.  A multiplication walks
+    the degrees from high to low, so every slice is read before it receives
+    the contributions of lower degrees; a division is the one-term case of
+    `_divide`.
     """
-    for d in range(len(slices) - 1 - dm, -1, -1):
-        _add_shifted(slices[d + dm], slices[d], m, sign)
-
-
-def _div_binomial(slices, sign, m, dm):
-    """slices /= (1 + sign * t) in place, t of packed key m and degree dm > 0.
-
-    Walks the degrees from low to high: the quotient's slice d is slice d
-    of the dividend minus sign * t times the finished quotient slice d - dm.
-    """
-    for d in range(dm, len(slices)):
-        _add_shifted(slices[d], slices[d - dm], m, -sign)
-
-
-def _binomial(s: GradedSeries, sign: int, exps, op) -> GradedSeries:
-    g, dg = _binomial_coords(s.lattice, exps)
     slices = [dict(sl) for sl in s._slices]
-    op(slices, sign, _pack(g, s.cutoff + 1), dg)
+    for dm, m, sign, inverse in factors:
+        if inverse:
+            _divide(slices, ((dm, m, sign),))
+        else:
+            for d in range(s.cutoff - dm, -1, -1):
+                _add_shifted(slices[d + dm], slices[d], m, sign)
     return GradedSeries._of(s.lattice, s.cutoff, slices)
+
+
+def apply_binomials(s: GradedSeries, factors) -> GradedSeries:
+    """s times prod (1 + sign * m)**(-1 if inverse else 1) over the
+    (raw exponents of m, sign, inverse) factors, each m in the cone with
+    positive degree, applied in the given order."""
+    return _apply(s, [(*_monomial_key(s, e), sign, inverse)
+                       for e, sign, inverse in factors])
 
 
 def mul_binomial(s: GradedSeries, sign: int, exps) -> GradedSeries:
     """Multiply by (1 + sign * m) for an in-cone monomial m of positive degree."""
-    return _binomial(s, sign, exps, _mul_binomial)
+    return apply_binomials(s, [(exps, sign, False)])
 
 
 def div_binomial(s: GradedSeries, sign: int, exps) -> GradedSeries:
     """Divide by (1 + sign * m): multiply by the geometric series of -sign*m."""
-    return _binomial(s, sign, exps, _div_binomial)
+    return apply_binomials(s, [(exps, sign, True)])
 
 
 def apply_pochhammer(s: GradedSeries, head, step, sign: int,
@@ -493,20 +509,13 @@ def apply_pochhammer(s: GradedSeries, head, step, sign: int,
     """Multiply (or divide) by prod_{n>=0} (1 + sign * step^n * head).
 
     Only factors whose monomial has degree <= cutoff differ from 1 below
-    the truncation, so the loop is finite.  s itself is left untouched:
-    the passes run in place on one copy of its slices.
+    the truncation, so the product is finite.  Factor n has the key of
+    head plus n times the key of step.
     """
-    lattice, cutoff = s.lattice, s.cutoff
-    h, dm = _binomial_coords(lattice, head)
-    g, dg = _binomial_coords(lattice, step)
-    m, step_key = _pack(h, cutoff + 1), _pack(g, cutoff + 1)
-    op = _div_binomial if inverse else _mul_binomial
-    slices = [dict(sl) for sl in s._slices]
-    while dm <= cutoff:
-        op(slices, sign, m, dm)
-        m += step_key
-        dm += dg
-    return GradedSeries._of(lattice, cutoff, slices)
+    dm, m = _monomial_key(s, head)
+    dg, step_key = _monomial_key(s, step)
+    return _apply(s, [(dm + n * dg, m + n * step_key, sign, inverse)
+                      for n in range((s.cutoff - dm) // dg + 1)])
 
 
 def pochhammer(lattice: LatticeSpec, cutoff: int, head, step, sign: int) -> GradedSeries:
@@ -514,62 +523,36 @@ def pochhammer(lattice: LatticeSpec, cutoff: int, head, step, sign: int) -> Grad
     return apply_pochhammer(GradedSeries.one(lattice, cutoff), head, step, sign)
 
 
-def _vneg(e):
-    return tuple(-x for x in e)
-
-
-def _vadd(a, b):
-    return tuple(map(add, a, b))
-
-
 def expand_term(lattice: LatticeSpec, cutoff: int, sign: int, base,
                 nums=(), dens=()) -> GradedSeries:
     """Expand sign * m^base * prod(1 - m^nu) / prod(1 + m^mu) into the cone.
 
-    Factors whose monomial has negative degree are rewritten by pulling the
-    monomial out ((1 - m) = -m(1 - 1/m), 1/(1+m) = (1/m)/(1 + 1/m)), which
-    keeps every partial expansion cone-supported.  A nonconstant factor
-    monomial of degree exactly 0 is rejected.
+    A factor (1 + s*m)**(+-1) whose monomial m has negative degree is
+    rewritten as (s*m)**(+-1) (1 + s/m)**(+-1), which keeps every partial
+    expansion cone-supported.  A nonconstant factor monomial of degree
+    exactly 0 is rejected.
     """
     base = tuple(base)
-    num_g, den_g = [], []
-    for e in nums:
+    factors = []
+    for e, s, inverse in [(e, -1, False) for e in nums] + [(e, 1, True) for e in dens]:
         e = tuple(e)
         d = lattice.degree(e)
-        if d > 0:
-            num_g.append(e)
-        elif d < 0:
-            sign = -sign
-            base = _vadd(base, e)
-            num_g.append(_vneg(e))
-        else:
-            if all(x == 0 for x in e):
+        if d < 0:  # 1 + s*m = s*m * (1 + s/m)
+            sign *= s
+            base = tuple(b - x if inverse else b + x for b, x in zip(base, e))
+            e = tuple(-x for x in e)
+        elif d == 0:
+            if not inverse and not any(e):
                 return GradedSeries.zero(lattice, cutoff)
             raise SupportViolation(f"factor monomial {e} of degree 0")
-    for e in dens:
-        e = tuple(e)
-        d = lattice.degree(e)
-        if d > 0:
-            den_g.append(e)
-        elif d < 0:
-            base = _vadd(base, _vneg(e))
-            den_g.append(_vneg(e))
-        else:
-            raise SupportViolation(f"denominator monomial {e} of degree 0")
-    coords, in_cone, deg = cone_coords(lattice, base)
+        factors.append((e, s, inverse))
+    _, in_cone, deg = cone_coords(lattice, base)
     if not in_cone:
         raise SupportViolation(f"leading monomial {base} outside cone")
     if deg > cutoff:
         return GradedSeries.zero(lattice, cutoff)
-    slices = _empty(cutoff)
-    slices[deg][_pack(coords, cutoff + 1)] = sign
-    for e in num_g:
-        g, dg = _binomial_coords(lattice, e)
-        _mul_binomial(slices, -1, _pack(g, cutoff + 1), dg)
-    for e in den_g:
-        g, dg = _binomial_coords(lattice, e)
-        _div_binomial(slices, 1, _pack(g, cutoff + 1), dg)
-    return GradedSeries._of(lattice, cutoff, slices)
+    return apply_binomials(GradedSeries.monomial(lattice, cutoff, base, sign),
+                           factors)
 
 
 # -- interchange format ------------------------------------------------------

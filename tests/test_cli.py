@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from superdenom import cli
 from superdenom.cli import build_parser, main
 from superdenom.series import MAX_CUTOFF
 
@@ -146,6 +147,18 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys):
     assert len(captured.err.splitlines()) == 1
     assert str(target) in captured.err
     assert not target.exists()
+
+
+def test_unwritable_output_fails_before_any_work(tmp_path, monkeypatch, capsys):
+    def verifier(order):
+        raise AssertionError("the verifier ran before the output was opened")
+
+    monkeypatch.setitem(cli._VERIFIERS, "verify-denom", verifier)
+    code = main(["verify-denom", "--output", str(tmp_path / "missing-dir" / "x")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_parser_defaults():

@@ -1,9 +1,10 @@
-"""Fault injection: a broken product side must be caught by the verifiers.
+"""Fault injection: a broken builder must be caught by the verifiers.
 
-Each case drops one Pochhammer factor from the product-side schedule.  The
+Each product-side case drops one Pochhammer factor from the schedule.  The
 mutated product differs from the true one first at the degree of the
 dropped factor's head (its step q has degree 4 > 0), so the mismatch must
-be reported there.
+be reported there.  Each orbit-side case drops ring n of an orbit sum,
+which must be reported at the lowest degree of that ring.
 """
 
 import pytest
@@ -13,12 +14,13 @@ from superdenom import identities as ids
 
 @pytest.fixture
 def fresh_caches():
-    # build_lhs and build_rhs are lru_cached: no mutated series may leak
-    # into, or out of, a case
-    for f in (ids.build_lhs, ids.build_rhs):
+    # the builders are lru_cached: no mutated series may leak into, or out
+    # of, a case
+    cached = [f for f in vars(ids).values() if hasattr(f, "cache_clear")]
+    for f in cached:
         f.cache_clear()
     yield
-    for f in (ids.build_lhs, ids.build_rhs):
+    for f in cached:
         f.cache_clear()
 
 
@@ -30,3 +32,28 @@ def test_dropped_factor_is_caught(monkeypatch, fresh_caches, i):
     assert not rep.matched
     assert ids.GL.degree(rep.first_diffs[0][0]) == ids.GL.degree(head)
     assert not ids.ratio_support_check(12).matched
+
+
+def _drop_ring(monkeypatch, name, n):
+    terms = getattr(ids, name)
+    monkeypatch.setattr(ids, name,
+                        lambda order, k: [] if abs(k) == n else terms(order, k))
+
+
+@pytest.mark.parametrize("n, degree", [(1, 1), (2, 5), (3, 9)])
+def test_dropped_closed_orbit_ring_is_caught(monkeypatch, fresh_caches, n, degree):
+    # ring n of the closed orbit sum starts at degree 4n - 3
+    _drop_ring(monkeypatch, "_closed_orbit_term", n)
+    rep = ids.verify_denominator(12)
+    assert not rep.matched
+    assert ids.GL.degree(rep.first_diffs[0][0]) == degree
+
+
+@pytest.mark.parametrize("n, degree, order", [(1, 1, 18), (2, 8, 18), (3, 21, 24)])
+def test_dropped_sl21_ring_is_caught(monkeypatch, fresh_caches, n, degree, order):
+    # ring n of the sl(2|1) orbit sum starts at degree 3n^2 - 2n, so ring 3
+    # needs an order above the default 18
+    _drop_ring(monkeypatch, "_sl21_ring", n)
+    rep = ids.verify_sl21(order)
+    assert not rep.matched
+    assert ids.SL21.degree(rep.first_diffs[0][0]) == degree
