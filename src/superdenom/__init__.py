@@ -22,7 +22,6 @@ from .series import (
     invert,
     linear_combine,
     mul,
-    pochhammer,
     q_lattice,
     serialize,
     sl21_lattice,
@@ -34,6 +33,6 @@ __all__ = [
     "GradedSeries", "LatticeSpec", "OrbitTerm", "QReport", "Weight",
     "WeylElement", "cone_coords", "deserialize", "expand_orbit_term",
     "finite_gl_lattice", "gl_lattice", "inner", "invert", "linear_combine",
-    "mul", "orbit_sum", "pochhammer", "q_lattice", "reflect", "serialize",
+    "mul", "orbit_sum", "q_lattice", "reflect", "serialize",
     "sl21_lattice", "translate",
 ]

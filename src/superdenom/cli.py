@@ -34,14 +34,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "identity and its companions.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, help_, order_default=None):
+    def add(name, help_, order_default=None, formats=("text", "json")):
         sp = sub.add_parser(name, help=help_)
         if order_default is not None:
             sp.add_argument("--order", type=_order, default=order_default,
                             help=f"degree cutoff, at most {MAX_CUTOFF} "
                                  f"(default {order_default})")
-        sp.add_argument("--format", choices=("text", "json", "csv"),
-                        default="text")
+        sp.add_argument("--format", choices=formats, default=formats[0])
         sp.add_argument("--output", default=None, help="write to file")
         return sp
 
@@ -52,14 +51,15 @@ def build_parser() -> argparse.ArgumentParser:
     add("verify-talpha-tgamma", "translation orbit sums along alpha vs gamma", 16)
     add("ratio-support", "support shape and triviality of RHS/LHS", 24)
 
-    sp = add("jacobi", "eight-squares table and identities")
+    sp = add("jacobi", "eight-squares table and identities",
+             formats=("text", "json", "csv"))
     sp.add_argument("--max-n", type=_order, default=64)
 
     sp = add("analytic", "floating-point evaluation suite")
     sp.add_argument("--q", type=float, default=0.1)
     sp.add_argument("--tol", type=float, default=1e-8)
 
-    sp = add("dump", "serialize a builder output", 24)
+    sp = add("dump", "serialize a builder output", 24, formats=("json",))
     sp.add_argument("--expr", required=True,
                     choices=("lhs", "rhs", "prefactor", "orbit-sum", "rhat-roots"))
     return p
@@ -95,7 +95,7 @@ def _report_text(doc: dict) -> str:
 
 def _run_report(args) -> tuple[int, str]:
     rep = _VERIFIERS[args.command](args.order)
-    doc = rep.to_dict(include_millis=False)
+    doc = rep.to_dict()
     if args.format == "json":
         text = json.dumps(doc, sort_keys=True, indent=2)
     else:
@@ -128,8 +128,7 @@ def _run_jacobi(args) -> tuple[int, str]:
 
 
 def _run_analytic(args) -> tuple[int, str]:
-    cfg = analytic.default_config(q=args.q, tol=args.tol)
-    rep = analytic.run_suite(cfg)
+    rep = analytic.run_suite(analytic.EvalConfig(q=args.q, tol=args.tol))
     code = 0 if rep["ok"] else 1
     doc = {
         "ok": rep["ok"],
@@ -161,8 +160,9 @@ def _run(args, out) -> int:
             code, text = _run_analytic(args)
         except (ValueError, ArithmeticError, analytic.ConvergenceError,
                 analytic.PoleProximity) as exc:
-            # q outside (0, 1), or so close to 1 that the float products
-            # underflow or fail to converge: a usage error, not a mismatch
+            # q outside (0, 1), a tol that is not finite and positive, or q
+            # so close to 1 that the float products underflow or fail to
+            # converge: a usage error, not a mismatch
             sys.stderr.write(f"superdenom analytic: error: cannot evaluate at "
                              f"q={args.q}, tol={args.tol}: {exc}\n")
             return 2

@@ -10,7 +10,6 @@ support shape of the ratio of the two sides.
 from __future__ import annotations
 
 import math
-import time
 from functools import lru_cache
 
 from . import roots
@@ -188,17 +187,14 @@ def build_rhs(order: int) -> GradedSeries:
 
 def verify_denominator(order: int) -> QReport:
     """Product side versus prefactor times orbit sum, coefficient by coefficient."""
-    started = time.perf_counter()
-    lhs = build_lhs(order)
-    rhs = build_rhs(order)
-    return compare_series("denominator-gl22-affine", lhs, rhs, started)
+    return compare_series("denominator-gl22-affine",
+                          build_lhs(order), build_rhs(order))
 
 
 def verify_prefactor(order: int) -> QReport:
-    started = time.perf_counter()
     return compare_series("prefactor-product-vs-series",
                           build_prefactor(order, "product"),
-                          build_prefactor(order, "fn_series"), started)
+                          build_prefactor(order, "fn_series"))
 
 
 @lru_cache(maxsize=None)
@@ -211,11 +207,10 @@ def build_finite_r(order: int) -> GradedSeries:
 
 def verify_finite_identity(order: int) -> QReport:
     """Three-way equality: product form, W_alpha sum and W_gamma sum."""
-    started = time.perf_counter()
     r = build_finite_r(order)
-    wa = roots.orbit_sum("W_alpha", roots.STANDARD_SEED, GL3, order, affine=False)
-    wg = roots.orbit_sum("W_gamma", roots.STANDARD_SEED, GL3, order, affine=False)
-    rep = compare_series("denominator-gl22-finite", r, wa, started)
+    wa = roots.orbit_sum("W_alpha", roots.STANDARD_SEED, GL3, order)
+    wg = roots.orbit_sum("W_gamma", roots.STANDARD_SEED, GL3, order)
+    rep = compare_series("denominator-gl22-finite", r, wa)
     rep2 = compare_series("denominator-gl22-finite", wa, wg)
     rep.extra = {"product_vs_walpha": rep.matched, "walpha_vs_wgamma": rep2.matched}
     rep.matched = rep.matched and rep2.matched
@@ -225,10 +220,9 @@ def verify_finite_identity(order: int) -> QReport:
 
 def verify_talpha_tgamma(order: int) -> QReport:
     """Translation orbit sums along alpha and along gamma of R e^rho agree."""
-    started = time.perf_counter()
     ta = roots.orbit_sum("T_alpha", roots.R_RHO_SEED, GL, order)
     tg = roots.orbit_sum("T_gamma", roots.R_RHO_SEED, GL, order)
-    return compare_series("talpha-vs-tgamma", ta, tg, started)
+    return compare_series("talpha-vs-tgamma", ta, tg)
 
 
 @lru_cache(maxsize=None)
@@ -255,9 +249,8 @@ def build_sl21_rhs(order: int) -> GradedSeries:
 
 
 def verify_sl21(order: int) -> QReport:
-    started = time.perf_counter()
     return compare_series("denominator-sl21-affine",
-                          build_sl21_lhs(order), build_sl21_rhs(order), started)
+                          build_sl21_lhs(order), build_sl21_rhs(order))
 
 
 def ratio_support_check(order: int) -> QReport:
@@ -266,11 +259,10 @@ def ratio_support_check(order: int) -> QReport:
     The support inclusion is the useful diagnostic when a builder is off;
     the identity itself forces Y = 1.
     """
-    started = time.perf_counter()
     y = divide_by_lhs(build_rhs(order))
     bad = [e for e in y.support() if e[1] != 0 or e[3] != -e[2]]
     one = GradedSeries.one(GL, order)
-    rep = compare_series("ratio-support", y, one, started)
+    rep = compare_series("ratio-support", y, one)
     rep.extra = {"support_ok": not bad,
                  "is_one": rep.matched,
                  "bad_monomials": [list(e) for e in bad[:20]]}

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .series import GradedSeries
 
@@ -15,13 +14,12 @@ class QReport:
     identity: str
     cutoff: int
     matched: bool
-    first_diffs: list = field(default_factory=list)
-    lhs_terms: int = 0
-    rhs_terms: int = 0
-    millis: float = 0.0
+    first_diffs: list
+    lhs_terms: int
+    rhs_terms: int
     extra: dict | None = None
 
-    def to_dict(self, include_millis: bool = True) -> dict:
+    def to_dict(self) -> dict:
         doc = {
             "identity": self.identity,
             "cutoff": self.cutoff,
@@ -31,18 +29,13 @@ class QReport:
             "lhs_terms": self.lhs_terms,
             "rhs_terms": self.rhs_terms,
         }
-        if include_millis:
-            doc["millis"] = round(self.millis, 3)
         if self.extra is not None:
             doc["extra"] = self.extra
         return doc
 
 
-def compare_series(identity: str, lhs: GradedSeries, rhs: GradedSeries,
-                   started: float | None = None, extra: dict | None = None) -> QReport:
+def compare_series(identity: str, lhs: GradedSeries, rhs: GradedSeries) -> QReport:
     d = min(lhs.cutoff, rhs.cutoff)
     diffs = lhs.diff_up_to(rhs, d, limit=MAX_DIFFS)
-    millis = 0.0 if started is None else (time.perf_counter() - started) * 1000.0
     return QReport(identity=identity, cutoff=d, matched=not diffs,
-                   first_diffs=diffs, lhs_terms=len(lhs), rhs_terms=len(rhs),
-                   millis=millis, extra=extra)
+                   first_diffs=diffs, lhs_terms=len(lhs), rhs_terms=len(rhs))

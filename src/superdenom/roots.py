@@ -44,7 +44,6 @@ class Weight:
         return Weight(tuple(scalar * a for a in self.coords))
 
 
-ZERO = Weight.of(0, 0, 0, 0, 0, 0)
 EPS1 = Weight.of(1, 0, 0, 0, 0, 0)
 EPS2 = Weight.of(0, 1, 0, 0, 0, 0)
 D1 = Weight.of(0, 0, 1, 0, 0, 0)
@@ -170,9 +169,13 @@ def exp_to_weight(exps, affine: bool = True) -> Weight:
     return -(n * DELTA + a * ALPHA + b1 * BETA1 + b2 * BETA2)
 
 
-def expand_orbit_term(term: OrbitTerm, lattice: LatticeSpec, cutoff: int,
-                      affine: bool = True) -> GradedSeries:
-    """Expansion of e^{-rho} * term as a cone-supported series."""
+def expand_orbit_term(term: OrbitTerm, lattice: LatticeSpec,
+                      cutoff: int) -> GradedSeries:
+    """Expansion of e^{-rho} * term as a cone-supported series.
+
+    The rank-4 lattice is the affine one; any other is finite (no delta).
+    """
+    affine = lattice.rank == 4
     base = weight_to_exp(term.top - RHO, affine)
     nums = [weight_to_exp(-v, affine) for v in term.nums]
     dens = [weight_to_exp(-v, affine) for v in term.dens]
@@ -222,14 +225,14 @@ def ring_sum(terms, bound: int) -> GradedSeries:
         n += 1
 
 
-def orbit_sum(group: str, seed: OrbitTerm, lattice: LatticeSpec, cutoff: int,
-              affine: bool = True) -> GradedSeries:
+def orbit_sum(group: str, seed: OrbitTerm, lattice: LatticeSpec,
+              cutoff: int) -> GradedSeries:
     """Signed sum of seed over the group, rho-normalized and truncated.
 
     Group elements are visited ring by ring in the translation power, by
     `ring_sum` with the bound cutoff + 8.
     """
     return ring_sum(
-        lambda k: [expand_orbit_term(apply_weyl_term(w, seed), lattice, cutoff, affine)
+        lambda k: [expand_orbit_term(apply_weyl_term(w, seed), lattice, cutoff)
                    for w in _ring(group, k)],
         cutoff + 8)

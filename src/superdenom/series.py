@@ -64,10 +64,7 @@ class BeyondCutoff(SeriesError):
 
 
 def _invert_unimodular(rows):
-    """Invert an integer matrix, insisting on det = +-1.
-
-    Returns (inverse rows as ints, det).
-    """
+    """Inverse rows, as ints, of an integer matrix with det = +-1."""
     n = len(rows)
     a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
          for i, row in enumerate(rows)]
@@ -94,7 +91,7 @@ def _invert_unimodular(rows):
         if any(x.denominator != 1 for x in row):
             raise ValueError("non-integer inverse")
         inv_rows.append(tuple(int(x) for x in row))
-    return tuple(inv_rows), int(det)
+    return tuple(inv_rows)
 
 
 @dataclass(frozen=True)
@@ -109,13 +106,7 @@ class LatticeSpec:
             raise ValueError("rank must be positive")
         if len(self.K) != self.rank or any(len(r) != self.rank for r in self.K):
             raise ValueError("K must be rank x rank")
-        kinv, det = _invert_unimodular(self.K)
-        object.__setattr__(self, "_Kinv", kinv)
-        object.__setattr__(self, "_det", det)
-
-    @property
-    def Kinv(self) -> tuple[tuple[int, ...], ...]:
-        return self._Kinv
+        object.__setattr__(self, "Kinv", _invert_unimodular(self.K))
 
     def to_coords(self, exps):
         if len(exps) != self.rank:
@@ -125,7 +116,7 @@ class LatticeSpec:
     def to_exps(self, coords):
         if len(coords) != self.rank:
             raise ValueError(f"expected {self.rank} coordinates, got {len(coords)}")
-        return tuple(sum(k * c for k, c in zip(row, coords)) for row in self._Kinv)
+        return tuple(sum(k * c for k, c in zip(row, coords)) for row in self.Kinv)
 
     def degree(self, exps) -> int:
         return sum(self.to_coords(exps))
@@ -319,9 +310,6 @@ class GradedSeries:
                 k = _unpack(key, base, rank)
                 yield k, to_exps(k), sl[key]
 
-    def equal_up_to(self, other: "GradedSeries", d: int) -> bool:
-        return not self.diff_up_to(other, d, limit=1)
-
     def diff_up_to(self, other: "GradedSeries", d: int, limit=None):
         """Monomials of degree <= d where the two series differ.
 
@@ -494,16 +482,6 @@ def apply_binomials(s: GradedSeries, factors) -> GradedSeries:
                        for e, sign, inverse in factors])
 
 
-def mul_binomial(s: GradedSeries, sign: int, exps) -> GradedSeries:
-    """Multiply by (1 + sign * m) for an in-cone monomial m of positive degree."""
-    return apply_binomials(s, [(exps, sign, False)])
-
-
-def div_binomial(s: GradedSeries, sign: int, exps) -> GradedSeries:
-    """Divide by (1 + sign * m): multiply by the geometric series of -sign*m."""
-    return apply_binomials(s, [(exps, sign, True)])
-
-
 def apply_pochhammer(s: GradedSeries, head, step, sign: int,
                      inverse: bool = False) -> GradedSeries:
     """Multiply (or divide) by prod_{n>=0} (1 + sign * step^n * head).
@@ -516,11 +494,6 @@ def apply_pochhammer(s: GradedSeries, head, step, sign: int,
     dg, step_key = _monomial_key(s, step)
     return _apply(s, [(dm + n * dg, m + n * step_key, sign, inverse)
                       for n in range((s.cutoff - dm) // dg + 1)])
-
-
-def pochhammer(lattice: LatticeSpec, cutoff: int, head, step, sign: int) -> GradedSeries:
-    """Truncation of prod_{n>=0} (1 + sign * step^n * head)."""
-    return apply_pochhammer(GradedSeries.one(lattice, cutoff), head, step, sign)
 
 
 def expand_term(lattice: LatticeSpec, cutoff: int, sign: int, base,

@@ -10,7 +10,6 @@ the twisted cubic divisor sum.
 from __future__ import annotations
 
 import math
-import time
 from functools import lru_cache
 
 from .report import QReport, compare_series
@@ -105,9 +104,7 @@ def gauss_series(order: int) -> GradedSeries:
 
 
 def gauss_check(order: int) -> QReport:
-    started = time.perf_counter()
-    return compare_series("gauss-identity", gauss_series(order),
-                          theta(order, -1), started)
+    return compare_series("gauss-identity", gauss_series(order), theta(order, -1))
 
 
 def jacobi_formula(order: int, twist: bool = False) -> GradedSeries:
@@ -154,14 +151,12 @@ def intermediate_identity(order: int) -> tuple[GradedSeries, GradedSeries]:
 
 
 def intermediate_identity_check(order: int) -> QReport:
-    started = time.perf_counter()
     lhs, rhs = intermediate_identity(order)
-    return compare_series("intermediate-eight-power", lhs, rhs, started)
+    return compare_series("intermediate-eight-power", lhs, rhs)
 
 
 def verify_jacobi(order: int) -> QReport:
     """Three-way check of r8 plus the sign-twisted companion identity."""
-    started = time.perf_counter()
     t8 = theta_power8(order)
     formula = jacobi_formula(order)
     conv = r8_oracle(order, "convolution")
@@ -170,7 +165,7 @@ def verify_jacobi(order: int) -> QReport:
     theta_coeffs = [t8.coeff((n,)) for n in range(order + 1)]
     formula_coeffs = [formula.coeff((n,)) for n in range(order + 1)]
     twisted_ok = theta_power8(order, -1) == jacobi_formula(order, twist=True)
-    rep = compare_series("jacobi-eight-squares", t8, formula, started)
+    rep = compare_series("jacobi-eight-squares", t8, formula)
     rep.extra = {
         "theta_vs_formula": theta_coeffs == formula_coeffs,
         "theta_vs_convolution": theta_coeffs == conv,

@@ -97,7 +97,7 @@ def test_criterion_08_eight_squares():
 
 
 def test_criterion_09_analytic_suite():
-    cfg = analytic.default_config(q=0.1, tol=1e-8)
+    cfg = analytic.EvalConfig(q=0.1, tol=1e-8)
     rep = analytic.run_suite(cfg)
     ok = (rep["ok"]
           and rep["ratio_one"]["max_deviation"] < 1e-8

@@ -9,12 +9,12 @@ from superdenom import analytic, identities
 from superdenom.analytic import (
     EvalConfig,
     PoleProximity,
+    SAMPLES,
     check_an_limits,
     check_b_zeros,
     check_functional,
     check_limits,
     check_ratio_one,
-    default_config,
     eval_A,
     eval_A_over_Rhat,
     eval_B,
@@ -29,7 +29,7 @@ from superdenom.analytic import (
 
 @pytest.fixture(scope="module")
 def cfg():
-    return default_config()
+    return EvalConfig()
 
 
 def test_config_validation():
@@ -41,11 +41,17 @@ def test_config_validation():
         EvalConfig(tol=0.0)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf])
+def test_config_rejects_non_finite_tol(tol):
+    with pytest.raises(ValueError, match="tol"):
+        EvalConfig(tol=tol)
+
+
 def test_default_config_samples(cfg):
-    assert len(cfg.samples) == 16
-    radii = {round(abs(y), 6) for y in cfg.samples}
+    assert len(SAMPLES) == 16
+    radii = {round(abs(y), 6) for y in SAMPLES}
     assert radii == {0.7, 1.2}
-    for y in cfg.samples:
+    for y in SAMPLES:
         assert pole_distance(cfg, y) > math.sqrt(cfg.tol)
 
 
@@ -54,7 +60,7 @@ def test_qpoch_against_partial_product(cfg):
     direct = 1.0
     for n in range(60):
         direct *= 1 - 0.3 * q ** n
-    assert abs(qpoch(0.3, q, cfg.tail_eps) - direct) < 1e-14
+    assert abs(qpoch(0.3, q) - direct) < 1e-14
 
 
 def test_pole_guard(cfg):
@@ -83,7 +89,7 @@ def test_b_vanishes_at_p_points(cfg):
 
 
 def test_functional_equations(cfg):
-    for y in cfg.samples[:4]:
+    for y in SAMPLES[:4]:
         rep = check_functional(cfg, y)
         assert rep["ok"], rep
 
@@ -96,7 +102,7 @@ def test_limits_at_one(cfg):
 
 
 def test_an_limits(cfg):
-    rep = check_an_limits(cfg, n_max=4)
+    rep = check_an_limits(cfg)
     assert rep["ok"]
     assert rep["max_dev"] < 1e-6
     # closed-form targets
@@ -111,8 +117,13 @@ def test_run_suite(cfg):
     assert rep["ok"]
 
 
+def test_run_suite_on_bare_config():
+    # the constructor alone must give a usable configuration
+    assert run_suite(EvalConfig())["ok"]
+
+
 def test_suite_other_base_point():
-    rep = run_suite(default_config(q=0.2))
+    rep = run_suite(EvalConfig(q=0.2))
     assert rep["ok"]
 
 

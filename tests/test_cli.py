@@ -100,15 +100,32 @@ def test_analytic_json(capsys):
     assert doc["ratio_one_max_dev"] < 1e-8
 
 
-@pytest.mark.parametrize("q", ["1.5", "0.999"])
-def test_analytic_unusable_q_is_usage_error(capsys, q):
-    # 1.5 is outside (0, 1); at 0.999 the float products underflow to 0
-    code = main(["analytic", "--q", q])
+@pytest.mark.parametrize("argv", [["--q", "1.5"], ["--q", "0.999"],
+                                  ["--tol", "nan"], ["--tol", "inf"]],
+                         ids=["1.5", "0.999", "tol-nan", "tol-inf"])
+def test_analytic_unusable_q_is_usage_error(capsys, argv):
+    # 1.5 is outside (0, 1); at 0.999 the float products underflow to 0;
+    # a tolerance must be finite
+    code = main(["analytic", *argv])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("cmd, fmt", [
+    *[(c, "csv") for c in ("verify-denom", "verify-prefactor", "verify-finite",
+                           "verify-sl21", "verify-talpha-tgamma",
+                           "ratio-support", "analytic")],
+    ("dump", "text"), ("dump", "csv"),
+])
+def test_unhonoured_format_rejected(capsys, cmd, fmt):
+    argv = [cmd, "--format", fmt] + (["--expr", "lhs"] if cmd == "dump" else [])
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_dump_round_trips(capsys):

@@ -1,9 +1,10 @@
 """Fault injection: a broken builder must be caught by the verifiers.
 
-Each product-side case drops one Pochhammer factor from the schedule.  The
-mutated product differs from the true one first at the degree of the
-dropped factor's head (its step q has degree 4 > 0), so the mismatch must
-be reported there.  Each orbit-side case drops ring n of an orbit sum,
+Each product-side case drops one Pochhammer factor from the schedule, flips
+its sign or steps it by q^2 instead of q.  A dropped or sign-flipped factor
+changes the product first at the degree of its head (its step q has degree
+4 > 0); a q^2 step first loses the factor head * q, at that degree plus 4.
+The mismatch must be reported there.  Each orbit-side case drops ring n of an orbit sum,
 which must be reported at the lowest degree of that ring.
 """
 
@@ -32,6 +33,43 @@ def test_dropped_factor_is_caught(monkeypatch, fresh_caches, i):
     assert not rep.matched
     assert ids.GL.degree(rep.first_diffs[0][0]) == ids.GL.degree(head)
     assert not ids.ratio_support_check(12).matched
+
+
+def _assert_caught_at(degree):
+    rep = ids.verify_denominator(12)
+    assert not rep.matched
+    assert ids.GL.degree(rep.first_diffs[0][0]) == degree
+    assert not ids.ratio_support_check(12).matched
+
+
+@pytest.mark.parametrize("i", range(len(ids._SCHEDULE)))
+def test_flipped_sign_is_caught(monkeypatch, fresh_caches, i):
+    head, sign, inverse = ids._SCHEDULE[i]
+    schedule = list(ids._SCHEDULE)
+    schedule[i] = (head, -sign, inverse)
+    monkeypatch.setattr(ids, "_SCHEDULE", tuple(schedule))
+    _assert_caught_at(ids.GL.degree(head))
+
+
+class _SquaredStep(tuple):
+    """A schedule head whose factor steps by q^2 instead of q."""
+
+
+@pytest.mark.parametrize("i", range(len(ids._SCHEDULE)))
+def test_squared_step_is_caught(monkeypatch, fresh_caches, i):
+    head, sign, inverse = ids._SCHEDULE[i]
+    schedule = list(ids._SCHEDULE)
+    schedule[i] = (_SquaredStep(head), sign, inverse)
+    monkeypatch.setattr(ids, "_SCHEDULE", tuple(schedule))
+    apply = ids.apply_pochhammer
+
+    def stepped(s, h, step, *args, **kwargs):
+        if isinstance(h, _SquaredStep):
+            h, step = tuple(h), (2, 0, 0, 0)
+        return apply(s, h, step, *args, **kwargs)
+
+    monkeypatch.setattr(ids, "apply_pochhammer", stepped)
+    _assert_caught_at(ids.GL.degree(head) + 4)
 
 
 def _drop_ring(monkeypatch, name, n):

@@ -9,12 +9,11 @@ from superdenom import identities as ids
 from superdenom import roots
 from superdenom.series import (
     GradedSeries,
+    apply_binomials,
     apply_pochhammer,
-    div_binomial,
     expand_term,
     linear_combine,
     mul,
-    mul_binomial,
     serialize,
 )
 
@@ -41,8 +40,8 @@ def test_passes_leave_cached_lhs_unchanged():
     before = serialize(lhs)
     apply_pochhammer(lhs, (0, 1, 0, 0), ids.Q, -1)
     apply_pochhammer(lhs, (0, 0, 1, 0), ids.Q, 1, inverse=True)
-    mul_binomial(lhs, -1, (0, 1, 0, 0))
-    div_binomial(lhs, 1, (0, 0, 1, 0))
+    apply_binomials(lhs, [((0, 1, 0, 0), -1, False)])
+    apply_binomials(lhs, [((0, 0, 1, 0), 1, True)])
     ids.divide_by_lhs(lhs)
     assert ids.build_lhs(10) is lhs
     assert serialize(lhs) == before

@@ -254,11 +254,11 @@ def test_orbit_sum_coefficient_symmetry():
 def test_finite_orbit_sums_are_two_term():
     from superdenom.series import finite_gl_lattice
     GL3 = finite_gl_lattice()
-    wa = orbit_sum("W_alpha", STANDARD_SEED, GL3, 8, affine=False)
+    wa = orbit_sum("W_alpha", STANDARD_SEED, GL3, 8)
     direct = linear_combine([
-        (1, expand_orbit_term(STANDARD_SEED, GL3, 8, affine=False)),
+        (1, expand_orbit_term(STANDARD_SEED, GL3, 8)),
         (1, expand_orbit_term(apply_weyl_term(S_ALPHA, STANDARD_SEED),
-                              GL3, 8, affine=False)),
+                              GL3, 8)),
     ])
     assert wa == direct
 

@@ -15,18 +15,16 @@ from superdenom.series import (
     MAX_CUTOFF,
     SeriesError,
     SupportViolation,
+    apply_binomials,
     apply_pochhammer,
     cone_coords,
     deserialize,
-    div_binomial,
     expand_term,
     finite_gl_lattice,
     gl_lattice,
     invert,
     linear_combine,
     mul,
-    mul_binomial,
-    pochhammer,
     q_lattice,
     serialize,
     sl21_lattice,
@@ -208,9 +206,10 @@ def test_binomial_ops_match_generic():
         s = _random_series(rng, GL3, 9, 6)
         e = (1, 1, 0)
         binom = GradedSeries.from_terms(GL3, 9, {(0, 0, 0): 1, e: -1})
-        assert mul_binomial(s, -1, e) == mul(s, binom)
-        assert div_binomial(s, -1, e) == mul(s, invert(binom))
-        assert div_binomial(mul_binomial(s, 1, e), 1, e) == s
+        assert apply_binomials(s, [(e, -1, False)]) == mul(s, binom)
+        assert apply_binomials(s, [(e, -1, True)]) == mul(s, invert(binom))
+        assert apply_binomials(apply_binomials(s, [(e, 1, False)]),
+                               [(e, 1, True)]) == s
 
 
 @pytest.mark.parametrize("lattice", [GL, GL3, SL21, QL])
@@ -226,13 +225,13 @@ def test_carry_boundary_coordinate_at_cutoff(lattice):
         b = GradedSeries(lattice, n, {below: -2})
         for u in units:
             g = lattice.to_exps(u)
-            assert mul_binomial(t, 1, g) == t
-            assert div_binomial(t, -1, g) == t
+            assert apply_binomials(t, [(g, 1, False)]) == t
+            assert apply_binomials(t, [(g, -1, True)]) == t
             assert mul(t, GradedSeries(lattice, n, {u: 1})).is_zero()
-            up = mul_binomial(b, 1, g)
+            up = apply_binomials(b, [(g, 1, False)])
             assert up == GradedSeries(lattice, n, {below: -2,
                                                    tuple(map(add, below, u)): -2})
-            assert div_binomial(up, 1, g) == b
+            assert apply_binomials(up, [(g, 1, True)]) == b
         geo = invert(GradedSeries(lattice, n, {(0,) * rank: 1, units[i]: -1}))
         assert _coord_terms(geo) == {tuple(j * x for x in units[i]): 1
                                      for j in range(n + 1)}
@@ -241,9 +240,9 @@ def test_carry_boundary_coordinate_at_cutoff(lattice):
 def test_binomial_degree_zero_rejected():
     s = GradedSeries.one(GL3, 5)
     with pytest.raises(SupportViolation):
-        mul_binomial(s, 1, (0, 0, 0))
+        apply_binomials(s, [((0, 0, 0), 1, False)])
     with pytest.raises(SupportViolation):
-        mul_binomial(s, 1, (-1, 0, 0))
+        apply_binomials(s, [((-1, 0, 0), 1, False)])
 
 
 # -- pochhammer --------------------------------------------------------------
@@ -261,7 +260,7 @@ def _euler_product_oracle(order):
 
 def test_pochhammer_pentagonal_numbers():
     order = 60
-    s = pochhammer(QL, order, (1,), (1,), -1)
+    s = apply_pochhammer(GradedSeries.one(QL, order), (1,), (1,), -1)
     oracle = _euler_product_oracle(order)
     assert [s.coeff((n,)) for n in range(order + 1)] == oracle
     # Euler: nonzero exactly at generalized pentagonal numbers, coefficient (-1)^k
