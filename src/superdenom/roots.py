@@ -6,6 +6,11 @@ first four vectors, delta and L0 are isotropic and pair to 1.  The Weyl
 group is the product of two infinite dihedral factors, generated by the
 reflections along alpha and gamma together with the translations along
 them.
+
+Weights have coordinates in 1/2 Z and are stored in half units, so the
+group action is exact int arithmetic; a result outside (1/2 Z)^6 raises
+RootError.  Fraction appears only where rationals enter (`Weight.of`, a
+non-int scalar) and in the value `inner` returns.
 """
 
 from __future__ import annotations
@@ -20,28 +25,48 @@ class RootError(Exception):
     pass
 
 
+def _half_units(x) -> int:
+    """A coordinate x in half units, an exact rational, as an int.
+
+    ValueError if x is not whole, i.e. the coordinate lies outside 1/2 Z.
+    """
+    x = Fraction(x)
+    if x.denominator != 1:
+        raise ValueError(f"coordinate {x / 2} outside 1/2 Z")
+    return x.numerator
+
+
 @dataclass(frozen=True)
 class Weight:
-    coords: tuple[Fraction, ...]
+    """A weight in (1/2 Z)^6, stored as the ints ``halves`` = 2 * coordinates.
+
+    The only halves the orbit sums meet come from rho = -(beta1 + beta2)/2
+    and its images.
+    """
+
+    halves: tuple[int, ...]
 
     @staticmethod
     def of(*vals) -> "Weight":
+        """The weight with coordinates vals, exact rationals in 1/2 Z."""
         if len(vals) != 6:
             raise ValueError("weights have six coordinates")
-        return Weight(tuple(Fraction(v) for v in vals))
+        return Weight(tuple(_half_units(2 * Fraction(v)) for v in vals))
 
     def __add__(self, other: "Weight") -> "Weight":
-        return Weight(tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return Weight(tuple(a + b for a, b in zip(self.halves, other.halves)))
 
     def __sub__(self, other: "Weight") -> "Weight":
-        return Weight(tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return Weight(tuple(a - b for a, b in zip(self.halves, other.halves)))
 
     def __neg__(self) -> "Weight":
-        return Weight(tuple(-a for a in self.coords))
+        return Weight(tuple(-a for a in self.halves))
 
     def __rmul__(self, scalar) -> "Weight":
+        if isinstance(scalar, int):
+            return Weight(tuple(scalar * a for a in self.halves))
         scalar = Fraction(scalar)
-        return Weight(tuple(scalar * a for a in self.coords))
+        return Weight(tuple(_half_units(scalar * a) for a in self.halves))
 
 
 EPS1 = Weight.of(1, 0, 0, 0, 0, 0)
@@ -58,22 +83,45 @@ GAMMA = BETA1 + ALPHA + BETA2          # = D1 - D2
 RHO = Fraction(-1, 2) * (BETA1 + BETA2)
 
 
-def inner(a: Weight, b: Weight) -> Fraction:
-    x, y = a.coords, b.coords
+def _form4(x, y) -> int:
+    """4 (a, b), for the half units x, y of a, b."""
     return (x[0] * y[0] + x[1] * y[1] - x[2] * y[2] - x[3] * y[3]
             + x[4] * y[5] + x[5] * y[4])
 
 
+def _exact(num: int, den: int) -> int:
+    q, r = divmod(num, den)
+    if r:
+        raise RootError(f"{num}/{den} is not an integer: the result leaves (1/2 Z)^6")
+    return q
+
+
+def inner(a: Weight, b: Weight) -> Fraction:
+    return Fraction(_form4(a.halves, b.halves), 4)
+
+
 def reflect(nu: Weight, lam: Weight) -> Weight:
-    nn = inner(nu, nu)
+    """lam - (2 (lam, nu) / (nu, nu)) nu, which must lie in (1/2 Z)^6."""
+    nn = _form4(nu.halves, nu.halves)
     if nn == 0:
         raise RootError("cannot reflect along an isotropic vector")
-    return lam - (2 * inner(lam, nu) / nn) * nu
+    k = 2 * _form4(lam.halves, nu.halves)
+    return Weight(tuple(a - _exact(k * b, nn) for a, b in zip(lam.halves, nu.halves)))
 
 
 def translate(mu: Weight, lam: Weight) -> Weight:
-    ld = inner(lam, DELTA)
-    return lam + ld * mu - (inner(lam, mu) + Fraction(inner(mu, mu), 2) * ld) * DELTA
+    """lam + (lam, delta) mu - ((lam, mu) + (mu, mu) (lam, delta) / 2) delta.
+
+    In half units (lam, delta) is lev / 2 with lev = lam.halves[5], so mu
+    is added lev / 2 times, and the delta half unit drops by
+    (16 (lam, mu) + 4 (mu, mu) lev) / 8.  The result must lie in (1/2 Z)^6.
+    """
+    x, m = lam.halves, mu.halves
+    lev = x[5]
+    # the orbit sums meet only level 0 (lev = 0), where the shift vanishes
+    h = [a + _exact(lev * b, 2) for a, b in zip(x, m)] if lev else list(x)
+    h[4] -= _exact(4 * _form4(x, m) + _form4(m, m) * lev, 8)
+    return Weight(tuple(h))
 
 
 @dataclass(frozen=True)
@@ -142,22 +190,21 @@ def weight_to_exp(lam: Weight, affine: bool = True):
     lam must lie in Z<delta, alpha, beta1, beta2> (delta coefficient 0 in
     the finite case); e.g. e^{-delta} is q, so e^lam = q^{-n} x^{-a} ...
     """
-    c = lam.coords
+    c = lam.halves          # so a, b1, b2, n below are in half units too
     b1 = c[2]
     b2 = -c[3]
     a = c[0] + b1
     n = c[4]
     if c[1] != -a + b2 or c[5] != 0:
         raise RootError(f"{lam} outside the root lattice")
-    vals = (n, a, b1, b2)
-    if any(v.denominator != 1 for v in vals):
+    if (n | a | b1 | b2) & 1:
         raise RootError(f"{lam} has non-integer root coordinates; "
                         "requires rho-normalization")
     if not affine:
         if n != 0:
             raise RootError(f"{lam} has a delta component in the finite case")
-        return (-int(a), -int(b1), -int(b2))
-    return (-int(n), -int(a), -int(b1), -int(b2))
+        return (-a // 2, -b1 // 2, -b2 // 2)
+    return (-n // 2, -a // 2, -b1 // 2, -b2 // 2)
 
 
 def exp_to_weight(exps, affine: bool = True) -> Weight:

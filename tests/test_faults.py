@@ -5,12 +5,16 @@ its sign or steps it by q^2 instead of q.  A dropped or sign-flipped factor
 changes the product first at the degree of its head (its step q has degree
 4 > 0); a q^2 step first loses the factor head * q, at that degree plus 4.
 The mismatch must be reported there.  Each orbit-side case drops ring n of an orbit sum,
-which must be reported at the lowest degree of that ring.
+which must be reported at the lowest degree of that ring.  The Weyl-action
+cases break `roots.translate` or `roots.reflect`, which the closed-form
+orbit sum does not use.
 """
 
 import pytest
 
 from superdenom import identities as ids
+from superdenom import roots
+from superdenom.series import SeriesError
 
 
 @pytest.fixture
@@ -95,3 +99,24 @@ def test_dropped_sl21_ring_is_caught(monkeypatch, fresh_caches, n, degree, order
     rep = ids.verify_sl21(order)
     assert not rep.matched
     assert ids.SL21.degree(rep.first_diffs[0][0]) == degree
+
+
+def test_translate_without_delta_term_is_caught(monkeypatch, fresh_caches):
+    # without its delta term a translation fixes every level-0 weight, so
+    # every ring of a translation orbit repeats ring 0 and the ring sum
+    # fails at its bound instead of returning a series
+    monkeypatch.setattr(
+        roots, "translate", lambda mu, lam: lam + roots.inner(lam, roots.DELTA) * mu)
+    with pytest.raises(SeriesError, match="past the bound"):
+        ids.build_orbit_sum(24, "weyl")
+    with pytest.raises(SeriesError, match="past the bound"):
+        ids.verify_talpha_tgamma(16)
+
+
+def test_reflect_as_identity_is_caught(monkeypatch, fresh_caches):
+    # s_alpha (seed) then cancels the seed, so both finite orbit sums vanish
+    # and the product side's constant term 1 is the first diff
+    monkeypatch.setattr(roots, "reflect", lambda nu, lam: lam)
+    rep = ids.verify_finite_identity(24)
+    assert not rep.matched
+    assert ids.GL3.degree(rep.first_diffs[0][0]) == 0

@@ -118,7 +118,7 @@ def test_prefactor_methods_agree(order):
 # -- orbit sum ---------------------------------------------------------------
 
 
-@pytest.mark.parametrize("order", [16, 24, 32])
+@pytest.mark.parametrize("order", [16, 24, 32, 40])
 def test_orbit_sum_methods_agree(order):
     closed = ids.build_orbit_sum(order, "closed")
     assert closed == ids.build_orbit_sum(order, "weyl")

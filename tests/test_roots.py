@@ -16,6 +16,7 @@ from superdenom.roots import (
     IDENTITY,
     LAMBDA0,
     RHO,
+    R_RHO_SEED,
     RootError,
     S_ALPHA,
     S_GAMMA,
@@ -143,6 +144,83 @@ def test_fixed_vectors():
         w = _random_weyl(rng)
         for v in fixed:
             assert w.apply(v) == v
+
+
+# -- exact int action against the textbook Fraction formulas ------------------
+
+
+def _coords(w):
+    return tuple(Fraction(h, 2) for h in w.halves)
+
+
+def _ref_inner(x, y):
+    return (x[0] * y[0] + x[1] * y[1] - x[2] * y[2] - x[3] * y[3]
+            + x[4] * y[5] + x[5] * y[4])
+
+
+def _ref_reflect(nu, lam):
+    c = 2 * _ref_inner(lam, nu) / _ref_inner(nu, nu)
+    return tuple(a - c * b for a, b in zip(lam, nu))
+
+
+def _ref_translate(mu, lam):
+    delta = _coords(DELTA)
+    ld = _ref_inner(lam, delta)
+    corr = _ref_inner(lam, mu) + Fraction(_ref_inner(mu, mu), 2) * ld
+    return tuple(a + ld * m - corr * d for a, m, d in zip(lam, mu, delta))
+
+
+def test_int_action_matches_fraction_reference_200_cases():
+    rng = random.Random(60606)
+    for _ in range(200):
+        # rho + root lattice + Z Lambda0, plus some half-integral levels
+        lam = (rng.randrange(2) * RHO + _random_root_weight(rng)
+               + Fraction(rng.randrange(2), 2) * LAMBDA0)
+        p, pp = rng.randrange(-5, 6), rng.randrange(-5, 6)
+        x = _coords(lam)
+        for nu in (ALPHA, GAMMA):
+            assert inner(lam, nu) == _ref_inner(x, _coords(nu))
+            assert _coords(reflect(nu, lam)) == _ref_reflect(_coords(nu), x)
+        for mu in (p * ALPHA, pp * GAMMA):
+            assert _coords(translate(mu, lam)) == _ref_translate(_coords(mu), x)
+
+
+def test_coordinates_outside_half_integers_rejected():
+    with pytest.raises(ValueError):
+        Weight.of(Fraction(1, 3), 0, 0, 0, 0, 0)
+    with pytest.raises(ValueError):
+        Fraction(1, 4) * ALPHA
+    assert Fraction(-1, 2) * (BETA1 + BETA2) == RHO
+
+
+def test_results_outside_half_integers_raise():
+    # coefficient 2 (eps1, nu) / (nu, nu) = 4/5 for nu = 2 eps1 + eps2
+    with pytest.raises(RootError):
+        reflect(Weight.of(2, 1, 0, 0, 0, 0), EPS1)
+    # level 1/2 adds mu / 2, and mu = eps1 / 2 gives a quarter
+    half = Fraction(1, 2)
+    with pytest.raises(RootError):
+        translate(Weight.of(half, 0, 0, 0, 0, 0), Weight.of(0, 0, 0, 0, 0, half))
+    # a coefficient of 1/2 is fine when the result stays in (1/2 Z)^6
+    assert reflect(ALPHA, Weight.of(half, 0, 0, 0, 0, 0)) == Weight.of(0, half, 0, 0, 0, 0)
+
+
+def test_orbit_path_needs_no_fraction(monkeypatch):
+    from superdenom import identities as ids
+    from superdenom import roots
+
+    def no_fraction(*args):
+        raise AssertionError("Fraction used on the orbit path")
+
+    expected = (orbit_sum("T_alpha", R_RHO_SEED, GL, 16),
+                ids.build_orbit_sum(24, "weyl"))
+    ids.build_orbit_sum.cache_clear()
+    monkeypatch.setattr(roots, "Fraction", no_fraction)
+    try:
+        assert orbit_sum("T_alpha", R_RHO_SEED, GL, 16) == expected[0]
+        assert ids.build_orbit_sum(24, "weyl") == expected[1]
+    finally:
+        ids.build_orbit_sum.cache_clear()
 
 
 # -- monomial dictionary -----------------------------------------------------
