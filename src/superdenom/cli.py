@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import sys
+from functools import lru_cache
 
 from . import analytic, identities, squares
 from .series import MAX_CUTOFF, serialize
@@ -27,7 +28,10 @@ def _order(value: str) -> int:
     return n
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process: `parse_args` keeps no state between
+    calls, so every `main` call shares it."""
     p = argparse.ArgumentParser(
         prog="superdenom",
         description="Exact verification of the gl(2|2) affine denominator "

@@ -31,6 +31,7 @@ and the JSON interchange format.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -111,12 +112,12 @@ class LatticeSpec:
     def to_coords(self, exps):
         if len(exps) != self.rank:
             raise ValueError(f"expected {self.rank} exponents, got {len(exps)}")
-        return tuple(sum(k * e for k, e in zip(row, exps)) for row in self.K)
+        return tuple([sum(map(operator.mul, row, exps)) for row in self.K])
 
     def to_exps(self, coords):
         if len(coords) != self.rank:
             raise ValueError(f"expected {self.rank} coordinates, got {len(coords)}")
-        return tuple(sum(k * c for k, c in zip(row, coords)) for row in self.Kinv)
+        return tuple([sum(map(operator.mul, row, coords)) for row in self.Kinv])
 
     def degree(self, exps) -> int:
         return sum(self.to_coords(exps))
@@ -156,11 +157,17 @@ def _pack(coords, base: int) -> int:
     return key
 
 
-def _unpack(key: int, base: int, rank: int):
-    coords = [0] * rank
-    for i in range(rank - 1, -1, -1):
-        key, coords[i] = divmod(key, base)
-    return tuple(coords)
+def _unpack(keys, base: int, rank: int):
+    """Coordinate tuples of the packed ``keys``, in their order.
+
+    Works digit by digit over all keys at once, lowest digit first.
+    """
+    digits, rest = [], keys
+    for _ in range(rank - 1):
+        digits.append([k % base for k in rest])
+        rest = [k // base for k in rest]
+    digits.append(rest)
+    return list(zip(*reversed(digits)))
 
 
 def _empty(cutoff: int):
@@ -296,19 +303,27 @@ class GradedSeries:
         if d < 0:
             return {}
         base, rank, to_exps = self.cutoff + 1, self.lattice.rank, self.lattice.to_exps
-        return {to_exps(_unpack(k, base, rank)): c for k, c in self._slices[d].items()}
+        sl = self._slices[d]
+        return {to_exps(k): c for k, c in zip(_unpack(sl, base, rank), sl.values())}
 
     def support(self):
         """Raw exponents of all stored monomials, canonically ordered."""
         return [e for _, e, _ in self.items_canonical()]
 
     def items_canonical(self):
-        """(coords, raw exponents, coefficient), degree-major then lex order."""
-        base, rank, to_exps = self.cutoff + 1, self.lattice.rank, self.lattice.to_exps
+        """(coords, raw exponents, coefficient), degree-major then lex order.
+
+        The raw exponents are `LatticeSpec.to_exps` of the coordinates,
+        computed one row of Kinv at a time over a whole slice.
+        """
+        base, rank, Kinv = self.cutoff + 1, self.lattice.rank, self.lattice.Kinv
         for sl in self._slices:
-            for key in sorted(sl):
-                k = _unpack(key, base, rank)
-                yield k, to_exps(k), sl[key]
+            if sl:
+                keys = sorted(sl)
+                coords = _unpack(keys, base, rank)
+                exps = zip(*[[sum(map(operator.mul, row, k)) for k in coords]
+                             for row in Kinv])
+                yield from zip(coords, exps, map(sl.__getitem__, keys))
 
     def diff_up_to(self, other: "GradedSeries", d: int, limit=None):
         """Monomials of degree <= d where the two series differ.
@@ -331,7 +346,8 @@ class GradedSeries:
             for key in sorted(sa.keys() | sb.keys()):
                 ca, cb = sa.get(key, 0), sb.get(key, 0)
                 if ca != cb:
-                    diffs.append((self.lattice.to_exps(_unpack(key, base, rank)), ca, cb))
+                    k, = _unpack((key,), base, rank)
+                    diffs.append((self.lattice.to_exps(k), ca, cb))
                     if limit is not None and len(diffs) >= limit:
                         return diffs
         return diffs
@@ -371,7 +387,7 @@ def _repack(s: GradedSeries, cutoff: int):
     if cutoff == s.cutoff:
         return s._slices
     old, new, rank = s.cutoff + 1, cutoff + 1, s.lattice.rank
-    return [{_pack(_unpack(k, old, rank), new): c for k, c in sl.items()}
+    return [{_pack(k, new): c for k, c in zip(_unpack(sl, old, rank), sl.values())}
             for sl in s._slices[:new]]
 
 
@@ -422,7 +438,9 @@ def _divide(slices, terms):
         for dm, m, c in terms:
             if dm > d:
                 break
-            _add_shifted(dst, slices[d - dm], m, -c)
+            src = slices[d - dm]
+            if src:
+                _add_shifted(dst, src, m, -c)
 
 
 def invert(s: GradedSeries) -> GradedSeries:
@@ -470,7 +488,8 @@ def _apply(s: GradedSeries, factors) -> GradedSeries:
             _divide(slices, ((dm, m, sign),))
         else:
             for d in range(s.cutoff - dm, -1, -1):
-                _add_shifted(slices[d + dm], slices[d], m, sign)
+                if slices[d]:
+                    _add_shifted(slices[d + dm], slices[d], m, sign)
     return GradedSeries._of(s.lattice, s.cutoff, slices)
 
 
@@ -532,14 +551,20 @@ def expand_term(lattice: LatticeSpec, cutoff: int, sign: int, base,
 
 
 def serialize(s: GradedSeries) -> str:
-    """Canonical JSON: header plus degree-major, lex-ordered term records."""
-    records = [{"k": list(k), "e": list(e), "c": str(c)}
-               for k, e, c in s.items_canonical()]
-    doc = {"rank": s.lattice.rank,
-           "K": [list(r) for r in s.lattice.K],
-           "cutoff": s.cutoff,
-           "terms": records}
-    return json.dumps(doc, separators=(",", ":"))
+    """Canonical JSON: header plus degree-major, lex-ordered term records.
+
+    The text is that of ``json.dumps(doc, separators=(",", ":"))`` for
+    doc = {"rank", "K", "cutoff", "terms": [{"k", "e", "c"}, ...]} with the
+    coefficient "c" as a decimal string.  Every field is an int or a decimal
+    string, so nothing needs escaping and each record is formatted directly
+    from one template per rank.
+    """
+    row = ",".join(["%d"] * s.lattice.rank)
+    record = '{"k":[%s],"e":[%s],"c":"%%d"}' % (row, row)
+    K = ",".join([f"[{row}]" % r for r in s.lattice.K])
+    head = '{"rank":%d,"K":[%s],"cutoff":%d,"terms":[' % (s.lattice.rank, K, s.cutoff)
+    return head + ",".join([record % (*k, *e, c)
+                            for k, e, c in s.items_canonical()]) + "]}"
 
 
 def _is_decimal(x) -> bool:

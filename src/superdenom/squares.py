@@ -2,9 +2,9 @@
 
 The square-count oracle deliberately stays away from the theta machinery:
 r8 is obtained by brute-force enumeration of four-dimensional integer
-vectors (with partial-norm pruning) paired against itself, and checked
-against the eightfold convolution of the one-square counts and against
-the twisted cubic divisor sum.
+vectors (each coordinate bounded by what the earlier ones leave of the
+norm) paired against itself, and checked against the eighth power of theta
+and against the twisted cubic divisor sum.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ from .report import QReport, compare_series
 from .series import GradedSeries, apply_pochhammer, mul, q_lattice
 
 QL = q_lattice()
-
-ENUMERATION_LIMIT = 64
 
 
 @lru_cache(maxsize=None)
@@ -38,16 +36,6 @@ def theta_power8(order: int, sign: int = 1) -> GradedSeries:
     return mul(t4, t4)
 
 
-def _r1(order: int) -> list[int]:
-    out = [0] * (order + 1)
-    out[0] = 1
-    j = 1
-    while j * j <= order:
-        out[j * j] = 2
-        j += 1
-    return out
-
-
 def _conv(a: list[int], b: list[int], order: int) -> list[int]:
     out = [0] * (order + 1)
     for i, ai in enumerate(a):
@@ -59,41 +47,33 @@ def _conv(a: list[int], b: list[int], order: int) -> list[int]:
 
 
 def _count4_enumeration(order: int) -> list[int]:
-    """Number of v in Z^4 with |v|^2 = n, by direct enumeration."""
+    """Number of v in Z^4 with |v|^2 = n, by direct enumeration.
+
+    Each coordinate runs over the integers whose square fits in what the
+    earlier coordinates leave of the order, so every point visited counts.
+    """
     out = [0] * (order + 1)
-    r = math.isqrt(order)
-    for v1 in range(-r, r + 1):
+    isqrt = math.isqrt
+    r1 = isqrt(order)
+    for v1 in range(-r1, r1 + 1):
         n1 = v1 * v1
-        if n1 > order:
-            continue
-        for v2 in range(-r, r + 1):
+        r2 = isqrt(order - n1)
+        for v2 in range(-r2, r2 + 1):
             n2 = n1 + v2 * v2
-            if n2 > order:
-                continue
-            for v3 in range(-r, r + 1):
+            r3 = isqrt(order - n2)
+            for v3 in range(-r3, r3 + 1):
                 n3 = n2 + v3 * v3
-                if n3 > order:
-                    continue
-                for v4 in range(-r, r + 1):
-                    n4 = n3 + v4 * v4
-                    if n4 <= order:
-                        out[n4] += 1
+                r4 = isqrt(order - n3)
+                for v4 in range(-r4, r4 + 1):
+                    out[n3 + v4 * v4] += 1
     return out
 
 
-def r8_oracle(order: int, method: str = "convolution") -> list[int]:
-    """r8(0..order): ordered representations as a sum of eight squares."""
-    if method == "convolution":
-        r1 = _r1(order)
-        r2 = _conv(r1, r1, order)
-        r4 = _conv(r2, r2, order)
-        return _conv(r4, r4, order)
-    if method == "enumeration":
-        if order > ENUMERATION_LIMIT:
-            raise ValueError(f"enumeration limited to order <= {ENUMERATION_LIMIT}")
-        c4 = _count4_enumeration(order)
-        return _conv(c4, c4, order)
-    raise ValueError(f"unknown method {method!r}")
+def r8_oracle(order: int) -> list[int]:
+    """r8(0..order): ordered representations as a sum of eight squares,
+    the enumerated four-square counts convolved with themselves."""
+    c4 = _count4_enumeration(order)
+    return _conv(c4, c4, order)
 
 
 def gauss_series(order: int) -> GradedSeries:
@@ -159,21 +139,17 @@ def verify_jacobi(order: int) -> QReport:
     """Three-way check of r8 plus the sign-twisted companion identity."""
     t8 = theta_power8(order)
     formula = jacobi_formula(order)
-    conv = r8_oracle(order, "convolution")
-    enum = (r8_oracle(order, "enumeration")
-            if order <= ENUMERATION_LIMIT else None)
+    enum = r8_oracle(order)
     theta_coeffs = [t8.coeff((n,)) for n in range(order + 1)]
     formula_coeffs = [formula.coeff((n,)) for n in range(order + 1)]
     twisted_ok = theta_power8(order, -1) == jacobi_formula(order, twist=True)
     rep = compare_series("jacobi-eight-squares", t8, formula)
     rep.extra = {
         "theta_vs_formula": theta_coeffs == formula_coeffs,
-        "theta_vs_convolution": theta_coeffs == conv,
-        "theta_vs_enumeration": (theta_coeffs == enum) if enum is not None else None,
+        "theta_vs_enumeration": theta_coeffs == enum,
         "twisted_identity": twisted_ok,
     }
-    rep.matched = (rep.matched and theta_coeffs == conv and twisted_ok
-                   and (enum is None or theta_coeffs == enum))
+    rep.matched = rep.matched and theta_coeffs == enum and twisted_ok
     return rep
 
 
@@ -181,8 +157,7 @@ def jacobi_table(order: int) -> list[dict]:
     """Per-n table used by the CLI: enumeration, theta power and divisor formula."""
     t8 = theta_power8(order)
     formula = jacobi_formula(order)
-    enum = (r8_oracle(order, "enumeration") if order <= ENUMERATION_LIMIT
-            else r8_oracle(order, "convolution"))
+    enum = r8_oracle(order)
     rows = []
     for n in range(order + 1):
         a, b, c = enum[n], t8.coeff((n,)), formula.coeff((n,))

@@ -86,7 +86,7 @@ def test_criterion_07_ratio_support():
 
 def test_criterion_08_eight_squares():
     rep = squares.verify_jacobi(64)
-    spot = squares.r8_oracle(4, "enumeration")
+    spot = squares.r8_oracle(4)
     gauss = squares.gauss_check(100)
     inter = squares.intermediate_identity_check(64)
     ok = (rep.matched and all(rep.extra.values())

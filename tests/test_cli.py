@@ -188,3 +188,28 @@ def test_parser_defaults():
     assert args.order == 18
     args = p.parse_args(["jacobi"])
     assert args.max_n == 64
+
+
+def test_parser_built_once():
+    assert build_parser() is build_parser()
+
+
+@pytest.mark.parametrize("first, second", [
+    (["jacobi", "--max-n", "8", "--format", "csv"], ["jacobi"]),
+    (["verify-finite", "--order", "4", "--format", "json"], ["verify-finite"]),
+])
+def test_no_flag_leaks_between_calls(capsys, first, second):
+    run(capsys, *first)
+    code, out = run(capsys, *second)
+    build_parser.cache_clear()
+    fresh_code, fresh = run(capsys, *second)
+    assert (code, out) == (fresh_code, fresh)
+    assert code == 0
+    if second == ["jacobi"]:
+        # the default 65-row text table and its summary line
+        lines = out.splitlines()
+        assert len(lines) == 66
+        assert lines[0].startswith("n=0: ") and lines[64].startswith("n=64: ")
+    else:
+        # text at the default order, not json at order 4
+        assert out.startswith("denominator-gl22-finite: MATCHED (cutoff 24,")

@@ -1,5 +1,6 @@
 """Core series layer: lattices, cone grading, exact arithmetic, serialization."""
 
+import json
 import random
 from operator import add
 
@@ -391,6 +392,48 @@ def test_serialize_deterministic():
     s = GradedSeries.from_terms(GL, 6, {(1, 0, 0, 0): 2, (0, 1, 0, 0): -1,
                                         (0, 0, 1, 1): 7})
     assert serialize(s) == serialize(deserialize(serialize(s)))
+
+
+def _json_dumps_serialize(s):
+    """The encoder `serialize` replaced: one dict per record through json.dumps."""
+    records = [{"k": list(k), "e": list(e), "c": str(c)}
+               for k, e, c in s.items_canonical()]
+    doc = {"rank": s.lattice.rank,
+           "K": [list(r) for r in s.lattice.K],
+           "cutoff": s.cutoff,
+           "terms": records}
+    return json.dumps(doc, separators=(",", ":"))
+
+
+def _byte_identity_cases():
+    from superdenom import identities as ids
+
+    big = 2 ** 64
+    return {
+        "empty": GradedSeries.zero(GL, 5),
+        "cutoff 0": GradedSeries.monomial(GL, 0, (0, 0, 0, 0), -3),
+        "empty cutoff 0": GradedSeries.zero(QL, 0),
+        "rank 1": GradedSeries.from_terms(QL, 9, {(0,): 1, (4,): -2, (9,): 7}),
+        "rank 3": GradedSeries.from_terms(SL21, 6, {(0, 0, 0): 1, (1, -1, 0): -5,
+                                                    (0, 2, 3): 11}),
+        "rank 3 identity K": GradedSeries.from_terms(GL3, 4, {(1, 2, 0): -1,
+                                                              (0, 0, 4): 2}),
+        "rank 4": GradedSeries.from_terms(GL, 6, {(1, 0, 0, 0): 2, (0, 1, 0, 0): -1,
+                                                  (0, 0, 1, 1): 7,
+                                                  (1, -1, -1, -1): 3}),
+        "big coefficients": GradedSeries.from_terms(
+            GL, 4, {(0, 0, 0, 0): big + 1, (0, 1, 0, 0): -(big * big + 5),
+                    (1, 0, 0, 0): -big}),
+        "build_lhs(12)": ids.build_lhs(12),
+        "build_prefactor(12)": ids.build_prefactor(12),
+        "build_orbit_sum(40)": ids.build_orbit_sum(40),
+    }
+
+
+def test_serialize_bytes_equal_json_dumps():
+    for name, s in _byte_identity_cases().items():
+        assert serialize(s) == _json_dumps_serialize(s), name
+        assert deserialize(serialize(s)) == s, name
 
 
 @pytest.mark.parametrize("text", [

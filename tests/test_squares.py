@@ -1,9 +1,15 @@
 """Theta series, the Gauss identity and the eight-squares count."""
 
-import pytest
+import itertools
+import math
 
 from superdenom import squares
-from superdenom.series import mul
+from superdenom.series import MAX_CUTOFF, mul
+
+
+def theta8_coeffs(order):
+    t8 = squares.theta_power8(order)
+    return [t8.coeff((n,)) for n in range(order + 1)]
 
 
 def test_theta_coefficients():
@@ -24,25 +30,32 @@ def test_theta_power8_is_eighth_power():
 
 
 def test_r8_spot_values():
-    for method in ("convolution", "enumeration"):
-        r8 = squares.r8_oracle(8, method)
-        assert r8[0] == 1
-        assert r8[1] == 16
-        assert r8[2] == 112
-        assert r8[3] == 448
-        assert r8[4] == 1136
+    r8 = squares.r8_oracle(8)
+    assert r8[0] == 1
+    assert r8[1] == 16
+    assert r8[2] == 112
+    assert r8[3] == 448
+    assert r8[4] == 1136
+    assert r8 == theta8_coeffs(8)
 
 
 def test_r8_oracles_agree_to_64():
-    assert squares.r8_oracle(64, "convolution") == \
-        squares.r8_oracle(64, "enumeration")
+    assert squares.r8_oracle(64) == theta8_coeffs(64)
 
 
-def test_enumeration_limit_enforced():
-    with pytest.raises(ValueError):
-        squares.r8_oracle(squares.ENUMERATION_LIMIT + 1, "enumeration")
-    with pytest.raises(ValueError):
-        squares.r8_oracle(8, "divination")
+def test_r8_enumeration_at_max_cutoff():
+    assert squares.r8_oracle(MAX_CUTOFF) == theta8_coeffs(MAX_CUTOFF)
+
+
+def test_bounded_count4_matches_unpruned_cube():
+    for order in range(41):
+        r = math.isqrt(order)
+        cube = [0] * (order + 1)
+        for v in itertools.product(range(-r, r + 1), repeat=4):
+            norm = sum(x * x for x in v)
+            if norm <= order:
+                cube[norm] += 1
+        assert squares._count4_enumeration(order) == cube, order
 
 
 def test_count4_against_known_values():
@@ -89,14 +102,14 @@ def test_intermediate_identity_to_64():
 def test_verify_jacobi():
     rep = squares.verify_jacobi(64)
     assert rep.matched
-    assert rep.extra == {"theta_vs_formula": True, "theta_vs_convolution": True,
+    assert rep.extra == {"theta_vs_formula": True,
                          "theta_vs_enumeration": True, "twisted_identity": True}
 
 
-def test_verify_jacobi_beyond_enumeration_limit():
+def test_verify_jacobi_enumerates_above_64():
     rep = squares.verify_jacobi(80)
     assert rep.matched
-    assert rep.extra["theta_vs_enumeration"] is None
+    assert rep.extra["theta_vs_enumeration"] is True
 
 
 def test_jacobi_table_rows():
