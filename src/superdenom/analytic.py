@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from .series import GradedSeries
 
@@ -31,16 +30,21 @@ class PoleProximity(Exception):
     pass
 
 
-@dataclass(frozen=True)
 class EvalConfig:
-    q: float = 0.1
-    tol: float = 1e-8
+    """The nome q and the tolerance of every float check; immutable by
+    convention.  Raises ValueError for q outside (0, 1) or a tol that is not
+    finite and positive, and PoleProximity if a sample lies within the guard
+    distance of the pole set."""
 
-    def __post_init__(self):
-        if not 0 < self.q < 1:
+    __slots__ = ("q", "tol")
+
+    def __init__(self, q: float = 0.1, tol: float = 1e-8):
+        if not 0 < q < 1:
             raise ValueError("q must satisfy 0 < q < 1")
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise ValueError(f"tol must be finite and positive, not {self.tol}")
+        if not (math.isfinite(tol) and tol > 0):
+            raise ValueError(f"tol must be finite and positive, not {tol}")
+        self.q = q
+        self.tol = tol
         for y in SAMPLES:
             _check_pole(self, y)
 

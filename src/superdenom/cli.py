@@ -8,9 +8,7 @@ all requested checks matched, 1 on a mismatch, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import sys
 from functools import lru_cache
 
@@ -87,6 +85,12 @@ _DUMPERS = {
 }
 
 
+def _json_text(doc: dict) -> str:
+    import json
+
+    return json.dumps(doc, sort_keys=True, indent=2)
+
+
 def _report_text(doc: dict) -> str:
     lines = [f"{doc['identity']}: "
              f"{'MATCHED' if doc['matched'] else 'MISMATCH'} "
@@ -101,7 +105,7 @@ def _run_report(args) -> tuple[int, str]:
     rep = _VERIFIERS[args.command](args.order)
     doc = rep.to_dict()
     if args.format == "json":
-        text = json.dumps(doc, sort_keys=True, indent=2)
+        text = _json_text(doc)
     else:
         text = _report_text(doc)
     return (0 if rep.matched else 1), text
@@ -114,6 +118,8 @@ def _run_jacobi(args) -> tuple[int, str]:
     inter_ok = squares.intermediate_identity_check(args.max_n).matched
     code = 0 if ok and gauss_ok and inter_ok else 1
     if args.format == "csv":
+        import csv
+
         buf = io.StringIO()
         w = csv.DictWriter(buf, fieldnames=["n", "r8_enum", "r8_theta",
                                             "r8_formula", "match"])
@@ -123,7 +129,7 @@ def _run_jacobi(args) -> tuple[int, str]:
     doc = {"rows": rows, "all_match": ok, "gauss": gauss_ok,
            "intermediate": inter_ok}
     if args.format == "json":
-        return code, json.dumps(doc, sort_keys=True, indent=2)
+        return code, _json_text(doc)
     lines = [f"n={r['n']}: {r['r8_enum']} {r['r8_theta']} {r['r8_formula']} "
              f"{'ok' if r['match'] else 'MISMATCH'}" for r in rows]
     lines.append(f"gauss: {'ok' if gauss_ok else 'MISMATCH'}; "
@@ -144,7 +150,7 @@ def _run_analytic(args) -> tuple[int, str]:
         "an_limits_max_dev": rep["an_limits"]["max_dev"],
     }
     if args.format == "json":
-        return code, json.dumps(doc, sort_keys=True, indent=2)
+        return code, _json_text(doc)
     lines = [f"{k}: {v:.3e}" if isinstance(v, float) else f"{k}: {v}"
              for k, v in doc.items()]
     return code, "\n".join(lines)

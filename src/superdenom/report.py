@@ -2,22 +2,27 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .series import GradedSeries
 
 MAX_DIFFS = 20
 
 
-@dataclass
 class QReport:
-    identity: str
-    cutoff: int
-    matched: bool
-    first_diffs: list
-    lhs_terms: int
-    rhs_terms: int
-    extra: dict | None = None
+    """One verification verdict.  ``extra`` holds a verifier's further
+    checks, set after construction."""
+
+    __slots__ = ("identity", "cutoff", "matched", "first_diffs",
+                 "lhs_terms", "rhs_terms", "extra")
+
+    def __init__(self, identity: str, cutoff: int, matched: bool,
+                 first_diffs: list, lhs_terms: int, rhs_terms: int):
+        self.identity = identity
+        self.cutoff = cutoff
+        self.matched = matched
+        self.first_diffs = first_diffs
+        self.lhs_terms = lhs_terms
+        self.rhs_terms = rhs_terms
+        self.extra = None
 
     def to_dict(self) -> dict:
         doc = {

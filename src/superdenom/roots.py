@@ -9,14 +9,13 @@ them.
 
 Weights have coordinates in 1/2 Z and are stored in half units, so the
 group action is exact int arithmetic; a result outside (1/2 Z)^6 raises
-RootError.  Fraction appears only where rationals enter (`Weight.of`, a
-non-int scalar) and in the value `inner` returns.
+RootError.  The constants below are built from half units directly.
+`fractions` is imported only inside the three edges where rationals enter
+or leave: `Weight.of`, a non-int scalar in `Weight.__rmul__`, and the value
+`inner` returns.  The orbit sums and `weight_to_exp` never reach them.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from fractions import Fraction
 
 from .series import GradedSeries, LatticeSpec, SeriesError, expand_term, linear_combine
 
@@ -26,29 +25,43 @@ class RootError(Exception):
 
 
 def _half_units(x) -> int:
-    """A coordinate x in half units, an exact rational, as an int.
+    """A coordinate x in half units, a Fraction, as an int.
 
     ValueError if x is not whole, i.e. the coordinate lies outside 1/2 Z.
     """
-    x = Fraction(x)
     if x.denominator != 1:
         raise ValueError(f"coordinate {x / 2} outside 1/2 Z")
     return x.numerator
 
 
-@dataclass(frozen=True)
 class Weight:
     """A weight in (1/2 Z)^6, stored as the ints ``halves`` = 2 * coordinates.
 
     The only halves the orbit sums meet come from rho = -(beta1 + beta2)/2
-    and its images.
+    and its images.  Immutable by convention.
     """
 
-    halves: tuple[int, ...]
+    __slots__ = ("halves",)
+
+    def __init__(self, halves: tuple[int, ...]):
+        self.halves = halves
+
+    def __eq__(self, other):
+        if not isinstance(other, Weight):
+            return NotImplemented
+        return self.halves == other.halves
+
+    def __hash__(self):
+        return hash(self.halves)
+
+    def __repr__(self):
+        return f"Weight(halves={self.halves!r})"
 
     @staticmethod
     def of(*vals) -> "Weight":
         """The weight with coordinates vals, exact rationals in 1/2 Z."""
+        from fractions import Fraction
+
         if len(vals) != 6:
             raise ValueError("weights have six coordinates")
         return Weight(tuple(_half_units(2 * Fraction(v)) for v in vals))
@@ -65,22 +78,24 @@ class Weight:
     def __rmul__(self, scalar) -> "Weight":
         if isinstance(scalar, int):
             return Weight(tuple(scalar * a for a in self.halves))
+        from fractions import Fraction
+
         scalar = Fraction(scalar)
         return Weight(tuple(_half_units(scalar * a) for a in self.halves))
 
 
-EPS1 = Weight.of(1, 0, 0, 0, 0, 0)
-EPS2 = Weight.of(0, 1, 0, 0, 0, 0)
-D1 = Weight.of(0, 0, 1, 0, 0, 0)
-D2 = Weight.of(0, 0, 0, 1, 0, 0)
-DELTA = Weight.of(0, 0, 0, 0, 1, 0)
-LAMBDA0 = Weight.of(0, 0, 0, 0, 0, 1)
+EPS1 = Weight((2, 0, 0, 0, 0, 0))
+EPS2 = Weight((0, 2, 0, 0, 0, 0))
+D1 = Weight((0, 0, 2, 0, 0, 0))
+D2 = Weight((0, 0, 0, 2, 0, 0))
+DELTA = Weight((0, 0, 0, 0, 2, 0))
+LAMBDA0 = Weight((0, 0, 0, 0, 0, 2))
 
 BETA1 = D1 - EPS1
 ALPHA = EPS1 - EPS2
 BETA2 = EPS2 - D2
 GAMMA = BETA1 + ALPHA + BETA2          # = D1 - D2
-RHO = Fraction(-1, 2) * (BETA1 + BETA2)
+RHO = Weight((1, -1, -1, 1, 0, 0))     # = -(BETA1 + BETA2) / 2
 
 
 def _form4(x, y) -> int:
@@ -96,7 +111,10 @@ def _exact(num: int, den: int) -> int:
     return q
 
 
-def inner(a: Weight, b: Weight) -> Fraction:
+def inner(a: Weight, b: Weight):
+    """The form (a, b), as an exact Fraction."""
+    from fractions import Fraction
+
     return Fraction(_form4(a.halves, b.halves), 4)
 
 
@@ -124,14 +142,28 @@ def translate(mu: Weight, lam: Weight) -> Weight:
     return Weight(tuple(h))
 
 
-@dataclass(frozen=True)
 class WeylElement:
-    """t_{p*alpha} s_alpha^eps . t_{pp*gamma} s_gamma^epsp, in normal form."""
+    """t_{p*alpha} s_alpha^eps . t_{pp*gamma} s_gamma^epsp, in normal form.
 
-    p: int = 0
-    eps: int = 0
-    pp: int = 0
-    epsp: int = 0
+    Immutable by convention.
+    """
+
+    __slots__ = ("p", "eps", "pp", "epsp")
+
+    def __init__(self, p: int = 0, eps: int = 0, pp: int = 0, epsp: int = 0):
+        self.p = p
+        self.eps = eps
+        self.pp = pp
+        self.epsp = epsp
+
+    def __eq__(self, other):
+        if not isinstance(other, WeylElement):
+            return NotImplemented
+        return ((self.p, self.eps, self.pp, self.epsp)
+                == (other.p, other.eps, other.pp, other.epsp))
+
+    def __hash__(self):
+        return hash((self.p, self.eps, self.pp, self.epsp))
 
     def sgn(self) -> int:
         return -1 if (self.eps + self.epsp) % 2 else 1
@@ -163,14 +195,18 @@ def compose(w1: WeylElement, w2: WeylElement) -> WeylElement:
     return WeylElement(p, (w1.eps + w2.eps) % 2, pp, (w1.epsp + w2.epsp) % 2)
 
 
-@dataclass(frozen=True)
 class OrbitTerm:
-    """sign * e^top * prod(1 - e^{-nu}) / prod(1 + e^{-mu})."""
+    """sign * e^top * prod(1 - e^{-nu}) / prod(1 + e^{-mu}) over the
+    weights nu of ``nums`` and mu of ``dens``.  Immutable by convention."""
 
-    sign: int
-    top: Weight
-    nums: tuple[Weight, ...] = ()
-    dens: tuple[Weight, ...] = ()
+    __slots__ = ("sign", "top", "nums", "dens")
+
+    def __init__(self, sign: int, top: Weight, nums: tuple[Weight, ...],
+                 dens: tuple[Weight, ...]):
+        self.sign = sign
+        self.top = top
+        self.nums = nums
+        self.dens = dens
 
 
 STANDARD_SEED = OrbitTerm(1, RHO, (), (BETA1, BETA2))

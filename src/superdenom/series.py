@@ -30,10 +30,7 @@ and the JSON interchange format.
 
 from __future__ import annotations
 
-import json
 import operator
-from dataclasses import dataclass
-from fractions import Fraction
 
 
 # Largest cutoff accepted from outside input (`deserialize`, the CLI
@@ -65,49 +62,58 @@ class BeyondCutoff(SeriesError):
 
 
 def _invert_unimodular(rows):
-    """Inverse rows, as ints, of an integer matrix with det = +-1."""
+    """Inverse rows, as ints, of an integer matrix with det = +-1.
+
+    Fraction-free (Bareiss) Gauss-Jordan on [K | I]: every division is
+    exact, and at the end the left block is d * I for the final pivot d, so
+    the inverse is the right block divided by d.  d is det K up to the sign
+    of the row swaps.
+    """
     n = len(rows)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(rows)]
-    det = Fraction(1)
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    prev, swaps = 1, 0
     for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        piv = next((r for r in range(col, n) if a[r][col]), None)
         if piv is None:
             raise ValueError("K is singular")
         if piv != col:
             a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
+            swaps += 1
+        p, pivot_row = a[col][col], a[col]
         for r in range(n):
-            if r != col and a[r][col] != 0:
+            if r != col:
                 f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    if det not in (1, -1):
-        raise ValueError(f"K must be unimodular, det={det}")
-    inv_rows = []
-    for r in range(n):
-        row = a[r][n:]
-        if any(x.denominator != 1 for x in row):
-            raise ValueError("non-integer inverse")
-        inv_rows.append(tuple(int(x) for x in row))
-    return tuple(inv_rows)
+                a[r] = [(p * x - f * y) // prev for x, y in zip(a[r], pivot_row)]
+        prev = p
+    if prev not in (1, -1):
+        raise ValueError(f"K must be unimodular, det={-prev if swaps % 2 else prev}")
+    return tuple(tuple(x // prev for x in row[n:]) for row in a)
 
 
-@dataclass(frozen=True)
 class LatticeSpec:
-    """Rank and unimodular raw-exponent -> cone-coordinate matrix K (rows)."""
+    """Rank and unimodular raw-exponent -> cone-coordinate matrix K (rows).
 
-    rank: int
-    K: tuple[tuple[int, ...], ...]
+    Immutable by convention; ``Kinv`` is the inverse of K, as int rows.
+    """
 
-    def __post_init__(self):
-        if self.rank <= 0:
+    __slots__ = ("rank", "K", "Kinv")
+
+    def __init__(self, rank: int, K: tuple[tuple[int, ...], ...]):
+        if rank <= 0:
             raise ValueError("rank must be positive")
-        if len(self.K) != self.rank or any(len(r) != self.rank for r in self.K):
+        if len(K) != rank or any(len(r) != rank for r in K):
             raise ValueError("K must be rank x rank")
-        object.__setattr__(self, "Kinv", _invert_unimodular(self.K))
+        self.rank = rank
+        self.K = K
+        self.Kinv = _invert_unimodular(K)
+
+    def __eq__(self, other):
+        if not isinstance(other, LatticeSpec):
+            return NotImplemented
+        return self is other or (self.rank == other.rank and self.K == other.K)
+
+    def __hash__(self):
+        return hash((self.rank, self.K))
 
     def to_coords(self, exps):
         if len(exps) != self.rank:
@@ -404,7 +410,8 @@ def linear_combine(pairs) -> GradedSeries:
         if scalar == 0:
             continue
         for dst, src in zip(out, _repack(s, cutoff)):
-            _add_shifted(dst, src, 0, scalar)
+            if src:
+                _add_shifted(dst, src, 0, scalar)
     return GradedSeries._of(lattice, cutoff, out)
 
 
@@ -585,6 +592,8 @@ def deserialize(text: str) -> GradedSeries:
 
     So does a cutoff above MAX_CUTOFF, before anything is allocated for it.
     """
+    import json
+
     try:
         doc = json.loads(text)
     except (TypeError, ValueError) as exc:

@@ -1,8 +1,11 @@
 """Command-line interface: exit codes, formats, determinism."""
 
+import ast
 import csv
 import io
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -213,3 +216,44 @@ def test_no_flag_leaks_between_calls(capsys, first, second):
     else:
         # text at the default order, not json at order 4
         assert out.startswith("denominator-gl22-finite: MATCHED (cutoff 24,")
+
+
+# Stdlib modules that no verdict path uses: neither `import superdenom.cli`
+# nor a text-format run of the commands may load any of them.
+DEFERRED = ("dataclasses", "inspect", "fractions", "decimal", "json", "csv")
+
+IMPORT_GRAPH_PROBE = """
+import sys
+bare = set(sys.modules)
+import superdenom.cli
+imported = set(sys.modules) - bare
+import contextlib, io
+for argv in %r:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = superdenom.cli.main(argv)
+    assert code == 0, (argv, code)
+print(repr((superdenom.cli.__file__, sorted(imported),
+            sorted(set(sys.modules) - bare))))
+"""
+
+
+def test_import_graph_leaves_out_deferred_modules():
+    commands = [
+        ["verify-denom", "--order", "8"],
+        ["ratio-support", "--order", "8"],
+        ["verify-prefactor", "--order", "8"],
+        ["verify-finite", "--order", "8"],
+        ["verify-sl21", "--order", "8"],
+        ["verify-talpha-tgamma", "--order", "8"],
+        ["jacobi", "--max-n", "8"],
+        ["analytic"],
+        ["dump", "--expr", "orbit-sum", "--order", "8"],
+    ]
+    # a fresh interpreter in this environment: the same package, found on
+    # PYTHONPATH or as an installed one
+    out = subprocess.run([sys.executable, "-c", IMPORT_GRAPH_PROBE % (commands,)],
+                         capture_output=True, text=True, check=True).stdout
+    cli_file, imported, after_run = ast.literal_eval(out)
+    assert cli_file == cli.__file__
+    assert [m for m in imported if m in DEFERRED] == []
+    assert [m for m in after_run if m in DEFERRED] == []

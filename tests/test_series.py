@@ -2,6 +2,7 @@
 
 import json
 import random
+from fractions import Fraction
 from operator import add
 
 import pytest
@@ -16,6 +17,7 @@ from superdenom.series import (
     MAX_CUTOFF,
     SeriesError,
     SupportViolation,
+    _invert_unimodular,
     apply_binomials,
     apply_pochhammer,
     cone_coords,
@@ -93,6 +95,70 @@ def test_non_unimodular_rejected():
         LatticeSpec(2, ((2, 0), (0, 1)))
     with pytest.raises(ValueError):
         LatticeSpec(2, ((1, 1), (1, 1)))
+    # det = -2, reached through a row swap
+    with pytest.raises(ValueError, match="det=-2"):
+        LatticeSpec(2, ((0, 2), (1, 0)))
+    with pytest.raises(SeriesError):
+        deserialize('{"rank":2,"K":[[0,2],[1,0]],"cutoff":1,"terms":[]}')
+
+
+def _fraction_inverse(rows):
+    """Gauss-Jordan over Fraction: (inverse rows, det, whether a row swap
+    was needed), the reference for `_invert_unimodular`."""
+    n = len(rows)
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(rows)]
+    det, swapped = Fraction(1), False
+    for col in range(n):
+        piv = next(r for r in range(col, n) if a[r][col] != 0)
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det, swapped = -det, True
+        det *= a[col][col]
+        a[col] = [x / a[col][col] for x in a[col]]
+        for r in range(n):
+            if r != col:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return tuple(tuple(row[n:]) for row in a), det, swapped
+
+
+def _random_unimodular(rng, n):
+    """The identity put through random row swaps, row negations and
+    integer row additions."""
+    a = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(rng.randrange(1, 3 * n + 1)):
+        i, j = rng.randrange(n), rng.randrange(n)
+        op = rng.randrange(3)
+        if op == 0:
+            a[i], a[j] = a[j], a[i]
+        elif op == 1:
+            a[i] = [-x for x in a[i]]
+        elif i != j:
+            c = rng.choice((-3, -2, -1, 1, 2, 3))
+            a[i] = [x + c * y for x, y in zip(a[i], a[j])]
+    return tuple(map(tuple, a))
+
+
+def test_invert_unimodular_matches_fraction_reference_600_cases():
+    rng = random.Random(8080)
+    dets, swaps = set(), 0
+    for case in range(600):
+        n = 1 + case % 6
+        K = _random_unimodular(rng, n)
+        expected, det, swapped = _fraction_inverse(K)
+        dets.add(det)
+        swaps += swapped
+        inv = _invert_unimodular(K)
+        assert inv == expected, K
+        assert all(type(x) is int for row in inv for x in row)
+        assert LatticeSpec(n, K).Kinv == inv
+        # K . Kinv = I
+        assert all(sum(K[i][k] * inv[k][j] for k in range(n)) == int(i == j)
+                   for i in range(n) for j in range(n))
+    # both signs of det, and elimination that needs row swaps, were covered
+    assert dets == {1, -1}
+    assert swaps >= 100
 
 
 # -- constructors and queries ------------------------------------------------
