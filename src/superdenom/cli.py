@@ -26,44 +26,88 @@ def _order(value: str) -> int:
     return n
 
 
+# name: (help, default --order or None, --format choices), in the order
+# the usage line and --help list them
+_COMMANDS = {
+    "verify-denom": ("main affine identity", 24, ("text", "json")),
+    "verify-prefactor": ("product vs cyclotomic series prefactor", 40,
+                         ("text", "json")),
+    "verify-finite": ("finite rank-3 identity", 24, ("text", "json")),
+    "verify-sl21": ("affine sl(2|1) identity", 18, ("text", "json")),
+    "verify-talpha-tgamma": ("translation orbit sums along alpha vs gamma", 16,
+                             ("text", "json")),
+    "ratio-support": ("support shape and triviality of RHS/LHS", 24,
+                      ("text", "json")),
+    "jacobi": ("eight-squares table and identities", None,
+               ("text", "json", "csv")),
+    "analytic": ("floating-point evaluation suite", None, ("text", "json")),
+    "dump": ("serialize a builder output", 24, ("json",)),
+}
+
+
+def _add_command(sub, name):
+    help_, order_default, formats = _COMMANDS[name]
+    sp = sub.add_parser(name, help=help_)
+    if order_default is not None:
+        sp.add_argument("--order", type=_order, default=order_default,
+                        help=f"degree cutoff, at most {MAX_CUTOFF} "
+                             f"(default {order_default})")
+    sp.add_argument("--format", choices=formats, default=formats[0])
+    sp.add_argument("--output", default=None, help="write to file")
+    if name == "jacobi":
+        sp.add_argument("--max-n", type=_order, default=64)
+    elif name == "analytic":
+        sp.add_argument("--q", type=float, default=0.1)
+        sp.add_argument("--tol", type=float, default=1e-8)
+    elif name == "dump":
+        sp.add_argument("--expr", required=True,
+                        choices=("lhs", "rhs", "prefactor", "orbit-sum",
+                                 "rhat-roots"))
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # the usage line printed with the message lists every subcommand
+        build_parser()
+        super().error(message)
+
+
 @lru_cache(maxsize=None)
-def build_parser() -> argparse.ArgumentParser:
-    """The one parser of this process: `parse_args` keeps no state between
-    calls, so every `main` call shares it."""
-    p = argparse.ArgumentParser(
+def _parser():
+    """The one top-level parser of this process and its subcommand action,
+    with no subcommand registered yet."""
+    p = _Parser(
         prog="superdenom",
         description="Exact verification of the gl(2|2) affine denominator "
                     "identity and its companions.")
-    sub = p.add_subparsers(dest="command", required=True)
+    sub = p.add_subparsers(dest="command", required=True,
+                           parser_class=argparse.ArgumentParser)
+    return p, sub
 
-    def add(name, help_, order_default=None, formats=("text", "json")):
-        sp = sub.add_parser(name, help=help_)
-        if order_default is not None:
-            sp.add_argument("--order", type=_order, default=order_default,
-                            help=f"degree cutoff, at most {MAX_CUTOFF} "
-                                 f"(default {order_default})")
-        sp.add_argument("--format", choices=formats, default=formats[0])
-        sp.add_argument("--output", default=None, help="write to file")
-        return sp
 
-    add("verify-denom", "main affine identity", 24)
-    add("verify-prefactor", "product vs cyclotomic series prefactor", 40)
-    add("verify-finite", "finite rank-3 identity", 24)
-    add("verify-sl21", "affine sl(2|1) identity", 18)
-    add("verify-talpha-tgamma", "translation orbit sums along alpha vs gamma", 16)
-    add("ratio-support", "support shape and triviality of RHS/LHS", 24)
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The one parser of this process, with the subparser of ``command``
+    registered, or every subparser if ``command`` names none.
 
-    sp = add("jacobi", "eight-squares table and identities",
-             formats=("text", "json", "csv"))
-    sp.add_argument("--max-n", type=_order, default=64)
-
-    sp = add("analytic", "floating-point evaluation suite")
-    sp.add_argument("--q", type=float, default=0.1)
-    sp.add_argument("--tol", type=float, default=1e-8)
-
-    sp = add("dump", "serialize a builder output", 24, formats=("json",))
-    sp.add_argument("--expr", required=True,
-                    choices=("lhs", "rhs", "prefactor", "orbit-sum", "rhat-roots"))
+    Subparsers are built on demand because a run uses one of nine.
+    `parse_args` keeps no state between calls, so every `main` call shares
+    the parser.  Registering every subparser after some were registered on
+    demand restores the order of `_COMMANDS`, so usage lines and --help read
+    the same whatever ran before.
+    """
+    p, sub = _parser()
+    if command in _COMMANDS:
+        if command not in sub.choices:
+            _add_command(sub, command)
+        return p
+    if len(sub.choices) < len(_COMMANDS):
+        for name in _COMMANDS:
+            if name not in sub.choices:
+                _add_command(sub, name)
+        order = list(_COMMANDS)
+        for name in order:  # sub.choices is the action's name -> parser map
+            sub.choices[name] = sub.choices.pop(name)
+        sub._choices_actions.sort(key=lambda a: order.index(a.dest))
     return p
 
 
@@ -187,7 +231,9 @@ def _run(args, out) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     if not args.output:
         return _run(args, sys.stdout)
     try:

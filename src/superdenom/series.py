@@ -180,20 +180,27 @@ def _empty(cutoff: int):
     return [{} for _ in range(cutoff + 1)]
 
 
-def _add_shifted(dst, src, m, scale):
-    """dst += scale * t * src in place, t the monomial of packed key m.
+def _add_shifted(dsts, srcs, m, scale):
+    """dst += scale * t * src in place for every pair of zip(dsts, srcs), in
+    that order, t the monomial of packed key m.
 
-    Drops every coefficient that cancels to 0.  Every term of src must be
-    nonzero and land at most at the cutoff, so the key sum does not carry.
+    The one loop over terms: every series operation is a few calls of it
+    over whole lists of degree slices.  Skips empty sources and drops every
+    coefficient that cancels to 0.  Every term of a source must be nonzero
+    and land at most at the cutoff, so the key sum does not carry.  A source
+    may be a destination of an earlier pair of the same call; it is read
+    when ``zip`` takes it, after that pair is done.
     """
-    get = dst.get
-    for k, c in src.items():
-        k += m
-        v = get(k, 0) + scale * c
-        if v:
-            dst[k] = v
-        else:
-            del dst[k]
+    for dst, src in zip(dsts, srcs):
+        if src:
+            get = dst.get
+            for k, c in src.items():
+                k += m
+                v = get(k, 0) + scale * c
+                if v:
+                    dst[k] = v
+                else:
+                    del dst[k]
 
 
 class GradedSeries:
@@ -407,11 +414,8 @@ def linear_combine(pairs) -> GradedSeries:
     out = _empty(cutoff)
     for scalar, s in pairs:
         _check_same_lattice(pairs[0][1], s)
-        if scalar == 0:
-            continue
-        for dst, src in zip(out, _repack(s, cutoff)):
-            if src:
-                _add_shifted(dst, src, 0, scalar)
+        if scalar:
+            _add_shifted(out, _repack(s, cutoff), 0, scalar)
     return GradedSeries._of(lattice, cutoff, out)
 
 
@@ -422,13 +426,10 @@ def mul(a: GradedSeries, b: GradedSeries) -> GradedSeries:
     asl, bsl = _repack(a, cutoff), _repack(b, cutoff)
     out = _empty(cutoff)
     for da, sa in enumerate(asl):
-        if not sa:
-            continue
-        for db in range(cutoff - da + 1):
-            sb = bsl[db]
-            if sb:
-                for ka, ca in sa.items():
-                    _add_shifted(out[da + db], sb, ka, ca)
+        if sa:
+            dsts = out[da:]
+            for ka, ca in sa.items():
+                _add_shifted(dsts, bsl, ka, ca)
     return GradedSeries._of(a.lattice, cutoff, out)
 
 
@@ -438,16 +439,22 @@ def _divide(slices, terms):
 
     Walks the degrees from low to high: the quotient's slice d is slice d
     of the dividend minus c * t times the finished quotient slice
-    d - degree(t), for every term.
+    d - degree(t), for every term.  With one term that is one kernel call
+    over ``slices[dm:]`` and ``slices``: each source is read after the
+    earlier pair of the same call has finished it.  With more terms (only
+    `invert`), slice d must take every term before it is read, so each
+    call covers one slice.
     """
+    if len(terms) == 1:
+        (dm, m, c), = terms
+        _add_shifted(slices[dm:], slices, m, -c)
+        return
     for d in range(terms[0][0], len(slices)):
-        dst = slices[d]
+        dst = (slices[d],)
         for dm, m, c in terms:
             if dm > d:
                 break
-            src = slices[d - dm]
-            if src:
-                _add_shifted(dst, src, m, -c)
+            _add_shifted(dst, (slices[d - dm],), m, -c)
 
 
 def invert(s: GradedSeries) -> GradedSeries:
@@ -484,19 +491,17 @@ def _apply(s: GradedSeries, factors) -> GradedSeries:
 
     Each factor is (1 + sign * t) or, if inverse, its inverse, for the
     monomial t of that key and degree > 0.  s itself is left untouched: the
-    passes run in place on one copy of its slices.  A multiplication walks
-    the degrees from high to low, so every slice is read before it receives
-    the contributions of lower degrees; a division is the one-term case of
-    `_divide`.
+    passes run in place on one copy of its slices, one kernel call each.  A
+    multiplication pairs slice d + dm with slice d from the top degree down,
+    so every slice is read before it receives the contributions of lower
+    degrees; a division is the one-term case of `_divide`.
     """
     slices = [dict(sl) for sl in s._slices]
     for dm, m, sign, inverse in factors:
         if inverse:
             _divide(slices, ((dm, m, sign),))
         else:
-            for d in range(s.cutoff - dm, -1, -1):
-                if slices[d]:
-                    _add_shifted(slices[d + dm], slices[d], m, sign)
+            _add_shifted(slices[:dm - 1:-1], slices[-dm - 1::-1], m, sign)
     return GradedSeries._of(s.lattice, s.cutoff, slices)
 
 

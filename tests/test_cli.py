@@ -195,6 +195,74 @@ def test_parser_defaults():
 
 def test_parser_built_once():
     assert build_parser() is build_parser()
+    assert build_parser("jacobi") is build_parser()
+
+
+# Runs main() with argv=None, as the console script does, so main reads the
+# command from sys.argv.  A first argument of "1" registers every subcommand
+# before main runs.  The last line printed is the exit code and the
+# registered subcommands.
+MAIN_PROBE = """
+import sys
+from superdenom import cli
+if sys.argv.pop(1) == "1":
+    cli.build_parser()
+try:
+    code = cli.main()
+except SystemExit as exc:
+    code = exc.code
+sys.stdout.write("\\n%r %r" % (code, list(cli._parser()[1].choices)))
+"""
+
+
+def run_main(full_parser_first, *argv):
+    proc = subprocess.run(
+        [sys.executable, "-c", MAIN_PROBE, str(int(full_parser_first)), *argv],
+        capture_output=True, text=True)
+    out, _, tail = proc.stdout.rpartition("\n")
+    code, registered = tail.split(" ", 1)
+    return (int(code), out, proc.stderr), ast.literal_eval(registered)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["verify-denom", "--help"], ["frobnicate"], [],
+    ["verify-denom", "--bogus"], ["verify-denom", "extra"],
+    ["verify-denom", "--order", "-1"], ["verify-denom", "--format", "csv"],
+    ["dump"], ["jacobi", "--max-n", "999"],
+], ids=lambda argv: " ".join(argv) or "no-argument")
+def test_on_demand_subparsers_print_what_the_full_parser_prints(argv):
+    on_demand, _ = run_main(False, *argv)
+    full, registered = run_main(True, *argv)
+    assert on_demand == full
+    assert registered == list(cli._COMMANDS)
+    assert on_demand[0] in (0, 2)
+    assert "Traceback" not in on_demand[2]
+
+
+def test_a_run_registers_only_its_subparser():
+    (code, out, err), registered = run_main(False, "ratio-support", "--order", "4")
+    assert (code, err) == (0, "")
+    assert out.startswith("ratio-support: MATCHED")
+    assert registered == ["ratio-support"]
+
+
+def test_full_registration_after_a_run_keeps_the_listing_order(capsys):
+    # a subparser registered on demand comes first in the parser's map;
+    # registering the rest puts every subcommand back in listing order
+    cli._parser.cache_clear()
+    try:
+        assert main(["ratio-support", "--order", "4"]) == 0
+        capsys.readouterr()
+        assert list(cli._parser()[1].choices) == ["ratio-support"]
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        after_run = capsys.readouterr().out
+        cli._parser.cache_clear()
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        assert capsys.readouterr().out == after_run
+    finally:
+        cli._parser.cache_clear()
 
 
 @pytest.mark.parametrize("first, second", [
@@ -204,7 +272,7 @@ def test_parser_built_once():
 def test_no_flag_leaks_between_calls(capsys, first, second):
     run(capsys, *first)
     code, out = run(capsys, *second)
-    build_parser.cache_clear()
+    cli._parser.cache_clear()
     fresh_code, fresh = run(capsys, *second)
     assert (code, out) == (fresh_code, fresh)
     assert code == 0

@@ -443,6 +443,108 @@ def test_truncation_soundness(a, b, m):
     assert s.restrict(m) == linear_combine([(3, a.restrict(m)), (-2, b.restrict(m))])
 
 
+# Every series operation is a few calls of one kernel over lists of degree
+# slices.  A plain coordinate-dict reference checks each operation on random
+# series of rank 1 to 4 whose small coefficients often cancel.  The factor
+# monomials of degree 1, cutoff and cutoff + 1 reach both ends of each
+# slice-list zip: the longest shift pairing, a single pair and no pair.
+
+KERNEL_LATTICES = [QL, LatticeSpec(2, ((1, 1), (0, 1))), SL21, GL]
+
+
+def _ref_mul(a, b, cutoff):
+    out = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            k = tuple(map(add, ka, kb))
+            if sum(k) <= cutoff:
+                out[k] = out.get(k, 0) + ca * cb
+    return {k: c for k, c in out.items() if c}
+
+
+def _ref_combine(pairs):
+    out = {}
+    for scalar, terms in pairs:
+        for k, c in terms.items():
+            out[k] = out.get(k, 0) + scalar * c
+    return {k: c for k, c in out.items() if c}
+
+
+def _ref_geometric(t, ratio, cutoff):
+    """sum of (ratio * t)^n up to the cutoff, t of positive degree given by
+    its coordinates."""
+    return {tuple(n * x for x in t): ratio ** n
+            for n in range(cutoff // sum(t) + 1)}
+
+
+@st.composite
+def kernel_cases(draw, unit=False):
+    lattice = draw(st.sampled_from(KERNEL_LATTICES))
+    cutoff = draw(st.integers(0, 7))
+    rank = lattice.rank
+    coords = st.lists(st.integers(0, cutoff), min_size=rank, max_size=rank).map(
+        tuple).filter(lambda k: sum(k) <= cutoff)
+    coeffs = st.sampled_from([-2, -1, 1, 2])
+    series = [draw(st.dictionaries(coords, coeffs, max_size=10)) for _ in range(2)]
+    if unit:
+        series[0][(0,) * rank] = draw(st.sampled_from([-1, 1]))
+    return lattice, cutoff, series
+
+
+def _monomial_of_degree(draw, rank, degree):
+    parts = draw(st.lists(st.integers(0, rank - 1), min_size=degree, max_size=degree))
+    return tuple(parts.count(i) for i in range(rank))
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_cases(), st.sampled_from([-2, -1, 1, 2]), st.sampled_from([-1, 1, 3]))
+def test_mul_and_linear_combine_match_reference(case, x, y):
+    lattice, cutoff, (ta, tb) = case
+    a, b = GradedSeries(lattice, cutoff, ta), GradedSeries(lattice, cutoff, tb)
+    assert _coord_terms(mul(a, b)) == _ref_mul(ta, tb, cutoff)
+    assert _coord_terms(mul(a, a)) == _ref_mul(ta, ta, cutoff)
+    assert _coord_terms(linear_combine([(x, a), (y, b), (-x, a)])) == \
+        _ref_combine([(y, tb)])
+    assert _coord_terms(linear_combine([(x, a), (y, b), (0, a)])) == \
+        _ref_combine([(x, ta), (y, tb)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_cases(unit=True))
+def test_invert_matches_reference(case):
+    lattice, cutoff, (ts, _) = case
+    c0 = ts[(0,) * lattice.rank]
+    # 1 / (c0 s) = sum of u^n with u = 1 - c0 s, which has no constant term
+    u = _ref_combine([(1, {(0,) * lattice.rank: 1}), (-c0, ts)])
+    power, total = {(0,) * lattice.rank: 1}, {}
+    for _ in range(cutoff + 1):
+        total = _ref_combine([(1, total), (1, power)])
+        power = _ref_mul(power, u, cutoff)
+    assert _coord_terms(invert(GradedSeries(lattice, cutoff, ts))) == \
+        _ref_combine([(c0, total)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_cases(), st.data())
+def test_apply_binomials_matches_reference(case, data):
+    lattice, cutoff, (ts, _) = case
+    degrees = sorted({1, cutoff, cutoff + 1} - {0})
+    factors, expected = [], ts
+    for _ in range(data.draw(st.integers(1, 4))):
+        degree = data.draw(st.sampled_from(degrees))
+        t = _monomial_of_degree(data.draw, lattice.rank, degree)
+        sign = data.draw(st.sampled_from([-1, 1]))
+        inverse = data.draw(st.booleans())
+        factors.append((lattice.to_exps(t), sign, inverse))
+        factor = (_ref_geometric(t, -sign, cutoff) if inverse
+                  else _ref_combine([(1, {(0,) * lattice.rank: 1}),
+                                     (sign, {t: 1} if degree <= cutoff else {})]))
+        expected = _ref_mul(expected, factor, cutoff)
+    s = GradedSeries(lattice, cutoff, ts)
+    assert _coord_terms(apply_binomials(s, factors)) == expected
+    assert _coord_terms(s) == ts
+
+
 # -- serialization -----------------------------------------------------------
 
 
