@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 
 from .series import GradedSeries
 
@@ -33,16 +34,18 @@ class PoleProximity(Exception):
 class EvalConfig:
     """The nome q and the tolerance of every float check; immutable by
     convention.  Raises ValueError for q outside (0, 1) or a tol that is not
-    finite and positive, and PoleProximity if a sample lies within the guard
-    distance of the pole set."""
+    finite or lies below the double-precision epsilon, which no float check
+    can meet, and PoleProximity if a sample lies within the guard distance
+    of the pole set."""
 
     __slots__ = ("q", "tol")
 
     def __init__(self, q: float = 0.1, tol: float = 1e-8):
         if not 0 < q < 1:
             raise ValueError("q must satisfy 0 < q < 1")
-        if not (math.isfinite(tol) and tol > 0):
-            raise ValueError(f"tol must be finite and positive, not {tol}")
+        if not (math.isfinite(tol) and tol >= sys.float_info.epsilon):
+            raise ValueError(f"tol must be finite and at least "
+                             f"{sys.float_info.epsilon:.3g}, not {tol}")
         self.q = q
         self.tol = tol
         for y in SAMPLES:

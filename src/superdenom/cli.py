@@ -214,9 +214,9 @@ def _run(args, out) -> int:
             code, text = _run_analytic(args)
         except (ValueError, ArithmeticError, analytic.ConvergenceError,
                 analytic.PoleProximity) as exc:
-            # q outside (0, 1), a tol that is not finite and positive, or q
-            # so close to 1 that the float products underflow or fail to
-            # converge: a usage error, not a mismatch
+            # q outside (0, 1), a tol that is not finite or is below double
+            # precision, or q so close to 1 that the float products
+            # underflow or fail to converge: a usage error, not a mismatch
             sys.stderr.write(f"superdenom analytic: error: cannot evaluate at "
                              f"q={args.q}, tol={args.tol}: {exc}\n")
             return 2

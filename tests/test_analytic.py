@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import sys
 
 import pytest
 
@@ -41,8 +42,9 @@ def test_config_validation():
         EvalConfig(tol=0.0)
 
 
-@pytest.mark.parametrize("tol", [math.nan, math.inf])
-def test_config_rejects_non_finite_tol(tol):
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 1e-300,
+                                 sys.float_info.epsilon / 2])
+def test_config_rejects_non_finite_or_sub_epsilon_tol(tol):
     with pytest.raises(ValueError, match="tol"):
         EvalConfig(tol=tol)
 

@@ -103,12 +103,27 @@ def test_analytic_json(capsys):
     assert doc["ratio_one_max_dev"] < 1e-8
 
 
+def test_analytic_defaults_keep_their_stdout(capsys):
+    # the lower bound on tol leaves the default tol of 1e-8 alone
+    code, out = run(capsys, "analytic")
+    assert code == 0
+    assert out == ("ok: True\n"
+                   "ratio_one_max_dev: 2.453e-15\n"
+                   "b_zero_max: 1.690e-15\n"
+                   "functional_max_dev: 1.663e-15\n"
+                   "limit_dev_a_over_r: 9.997e-05\n"
+                   "limit_dev_b: 2.499e-05\n"
+                   "an_limits_max_dev: 7.916e-11\n")
+
+
 @pytest.mark.parametrize("argv", [["--q", "1.5"], ["--q", "0.999"],
-                                  ["--tol", "nan"], ["--tol", "inf"]],
-                         ids=["1.5", "0.999", "tol-nan", "tol-inf"])
+                                  ["--tol", "nan"], ["--tol", "inf"],
+                                  ["--tol", "1e-300"]],
+                         ids=["1.5", "0.999", "tol-nan", "tol-inf", "tol-1e-300"])
 def test_analytic_unusable_q_is_usage_error(capsys, argv):
     # 1.5 is outside (0, 1); at 0.999 the float products underflow to 0;
-    # a tolerance must be finite
+    # a tolerance must be finite, and no float check meets one below the
+    # double-precision epsilon
     code = main(["analytic", *argv])
     captured = capsys.readouterr()
     assert code == 2

@@ -1,10 +1,12 @@
 """Fault injection: a broken builder must be caught by the verifiers.
 
-Each product-side case drops one Pochhammer factor from the schedule, flips
-its sign or steps it by q^2 instead of q.  A dropped or sign-flipped factor
-changes the product first at the degree of its head (its step q has degree
-4 > 0); a q^2 step first loses the factor head * q, at that degree plus 4.
-The mismatch must be reported there.  Each orbit-side case drops ring n of an orbit sum,
+Each product-side case drops one Pochhammer family from the schedule, flips
+its sign or steps it by q^2 instead of q.  The build derives every factor of
+a family, its tail and its low binomials, from the family's (head, step), so
+each case changes them all.  A dropped or sign-flipped family changes the
+product first at the degree of its head (its step q has degree 4 > 0); a q^2
+step first loses the factor head * q, at that degree plus 4.  The mismatch
+must be reported there.  Each orbit-side case drops ring n of an orbit sum,
 which must be reported at the lowest degree of that ring.  The Weyl-action
 cases break `roots.translate` or `roots.reflect`, which the closed-form
 orbit sum does not use.
@@ -48,31 +50,19 @@ def _assert_caught_at(degree):
 
 @pytest.mark.parametrize("i", range(len(ids._SCHEDULE)))
 def test_flipped_sign_is_caught(monkeypatch, fresh_caches, i):
-    head, sign, inverse = ids._SCHEDULE[i]
+    head, step, sign, inverse = ids._SCHEDULE[i]
     schedule = list(ids._SCHEDULE)
-    schedule[i] = (head, -sign, inverse)
+    schedule[i] = (head, step, -sign, inverse)
     monkeypatch.setattr(ids, "_SCHEDULE", tuple(schedule))
     _assert_caught_at(ids.GL.degree(head))
 
 
-class _SquaredStep(tuple):
-    """A schedule head whose factor steps by q^2 instead of q."""
-
-
 @pytest.mark.parametrize("i", range(len(ids._SCHEDULE)))
 def test_squared_step_is_caught(monkeypatch, fresh_caches, i):
-    head, sign, inverse = ids._SCHEDULE[i]
+    head, step, sign, inverse = ids._SCHEDULE[i]
     schedule = list(ids._SCHEDULE)
-    schedule[i] = (_SquaredStep(head), sign, inverse)
+    schedule[i] = (head, tuple(2 * g for g in step), sign, inverse)
     monkeypatch.setattr(ids, "_SCHEDULE", tuple(schedule))
-    apply = ids.apply_pochhammer
-
-    def stepped(s, h, step, *args, **kwargs):
-        if isinstance(h, _SquaredStep):
-            h, step = tuple(h), (2, 0, 0, 0)
-        return apply(s, h, step, *args, **kwargs)
-
-    monkeypatch.setattr(ids, "apply_pochhammer", stepped)
     _assert_caught_at(ids.GL.degree(head) + 4)
 
 

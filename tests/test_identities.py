@@ -65,65 +65,95 @@ def test_lhs_restriction_consistency():
     assert ids.build_rhs(20).restrict(10) == ids.build_rhs(10)
 
 
-def test_divide_by_lhs_inverts_build():
-    s = ids.divide_by_lhs(ids.build_lhs(16))
-    assert s == GradedSeries.one(GL, 16)
+def _family_product(order):
+    # the product side one whole Pochhammer family after another
+    s = GradedSeries.one(GL, order)
+    for head, step, sign, inverse in ids._SCHEDULE:
+        s = apply_pochhammer(s, head, step, sign, inverse)
+    return s
 
 
-def test_factor_schedule_keeps_intermediates_small(monkeypatch):
-    # the factor order is the whole optimisation: the build never holds more
-    # than 1,706 terms at N = 24, and the division of the right side
-    # retraces the build's partial products backwards down to 1
-    sizes = []
-
-    def recording(*args, **kwargs):
-        out = apply_pochhammer(*args, **kwargs)
-        sizes.append(len(out))
-        return out
-
-    # built before recording starts: its prefactor calls apply_pochhammer too
-    rhs = ids.build_rhs(24)
-    monkeypatch.setattr(ids, "apply_pochhammer", recording)
-    ids.build_lhs.__wrapped__(24)
-    built = sizes[:]
-    assert max(built) <= 1706
-    assert len(built) == len(ids._SCHEDULE)
-    sizes.clear()
-    ids.divide_by_lhs(rhs)
-    assert sizes == built[-2::-1] + [1]
+@pytest.mark.parametrize("order", range(49))
+def test_split_build_is_the_family_product(order):
+    lhs = ids.build_lhs(order)
+    assert lhs == _family_product(order)
+    assert ids.divide_by_lhs(lhs) == GradedSeries.one(GL, order)
 
 
-def test_factor_schedule_makes_few_term_operations(monkeypatch):
-    # the work of the build and of the ratio division, in source terms the
-    # kernel visits: a source is counted when zip takes it, so a slice that
-    # an in-place division reads is counted once it is finished.  Taking the
-    # numerators first visits 108,068 and 14,827; the peak stays the same.
-    visited = [0]
+class _Trace:
+    """What the product-side passes do: the source terms the kernel visits
+    and the size of every intermediate series."""
+
+    def __init__(self):
+        self.reset()
+
+    def reset(self):
+        self.visited = 0
+        self.sizes = []
+
+
+@pytest.fixture
+def trace(monkeypatch):
+    # A source is counted when zip takes it, so a slice that an in-place
+    # division reads is counted once it is finished.  `apply_binomials` is
+    # replayed one factor at a time, which makes the same kernel calls and
+    # records each low binomial's output too.
+    t = _Trace()
     kernel = series._add_shifted
 
     def counting(dsts, srcs, m, scale):
         def taken():
             for src in srcs:
-                visited[0] += len(src)
+                t.visited += len(src)
                 yield src
         kernel(dsts, taken(), m, scale)
 
-    sizes = []
-
-    def recording(*args, **kwargs):
+    def pochhammer(*args, **kwargs):
         out = apply_pochhammer(*args, **kwargs)
-        sizes.append(len(out))
+        t.sizes.append(len(out))
         return out
 
-    rhs = ids.build_rhs(24)
+    def binomials(s, factors):
+        for factor in factors:
+            s = apply_binomials(s, [factor])
+            t.sizes.append(len(s))
+        return s
+
     monkeypatch.setattr(series, "_add_shifted", counting)
-    monkeypatch.setattr(ids, "apply_pochhammer", recording)
+    monkeypatch.setattr(ids, "apply_pochhammer", pochhammer)
+    monkeypatch.setattr(ids, "apply_binomials", binomials)
+    return t
+
+
+def test_factor_schedule_keeps_intermediates_small(trace):
+    # the factor order is the whole optimisation: the build never holds more
+    # than 1,550 terms at N = 24, and the division of the right side
+    # retraces the build's partial products backwards down to 1
+    rhs = ids.build_rhs(24)  # its prefactor calls apply_pochhammer too
+    trace.reset()
+    ids.build_lhs.__wrapped__(24)
+    built = trace.sizes
+    assert max(built) <= 1_550
+    tails, low = ids._split_schedule(24)
+    assert len(built) == len(tails) + len(low) == 48
+    trace.reset()
+    ids.divide_by_lhs(rhs)
+    assert trace.sizes == built[-2::-1] + [1]
+
+
+def test_factor_schedule_makes_few_term_operations(monkeypatch, trace):
+    # the work of the build and of the ratio division, in source terms the
+    # kernel visits.  Whole families in the earlier order visit 91,940 and
+    # 12,518 with a peak of 7,807 terms; the split in that order 64,381
+    # and 11,665 with a peak of 6,207.
+    rhs = ids.build_rhs(24)
+    trace.reset()
     lhs = ids.build_lhs.__wrapped__(40)
-    assert visited[0] <= 91_940
-    assert max(sizes) <= 7_807
-    visited[0] = 0
+    assert trace.visited <= 59_773
+    assert max(trace.sizes) <= 5_696
+    trace.reset()
     assert ids.divide_by_lhs(rhs) == GradedSeries.one(GL, 24)
-    assert visited[0] <= 12_518
+    assert trace.visited <= 11_460
     monkeypatch.undo()
     assert lhs == ids.build_lhs(40)
 
