@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import os
 import sys
 from functools import lru_cache
 
@@ -230,20 +231,42 @@ def _run(args, out) -> int:
     return code
 
 
+def _cannot_write(target: str, exc: OSError) -> int:
+    sys.stderr.write(f"superdenom: error: cannot write {target}: "
+                     f"{exc.strerror or exc}\n")
+    return 2
+
+
+def _silence_stdout() -> None:
+    """Point stdout's descriptor at the null device, so that the flush at
+    interpreter exit writes what is still buffered there instead of
+    failing again on a closed pipe."""
+    try:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    except (OSError, ValueError):  # stdout has no descriptor of its own
+        pass
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     if not args.output:
-        return _run(args, sys.stdout)
+        try:
+            code = _run(args, sys.stdout)
+            sys.stdout.flush()  # a reader that went away shows here
+            return code
+        except OSError as exc:
+            _silence_stdout()
+            return _cannot_write("stdout", exc)
     try:
         # opened before any work, so an unwritable path fails at once
         with open(args.output, "w") as fh:
             return _run(args, fh)
     except OSError as exc:
-        sys.stderr.write(f"superdenom: error: cannot write {args.output}: "
-                         f"{exc.strerror or exc}\n")
-        return 2
+        return _cannot_write(args.output, exc)
 
 
 if __name__ == "__main__":

@@ -4,6 +4,7 @@ import ast
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -194,6 +195,28 @@ def test_unwritable_output_fails_before_any_work(tmp_path, monkeypatch, capsys):
     assert code == 2
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [["verify-denom", "--order", "8"],
+                                  ["jacobi", "--max-n", "224"]])
+def test_closed_stdout_is_usage_error(argv):
+    # the read end is closed before the child starts, so every write to
+    # its stdout fails, however small the output and whenever it comes.
+    # stdout stays block-buffered, as in a plain run: bytes still buffered
+    # when a write fails would make the flush at exit fail a second time
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "superdenom.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              text=True, env=env)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("superdenom: error: cannot write stdout: ")
 
 
 def test_parser_defaults():

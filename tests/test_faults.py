@@ -1,12 +1,16 @@
 """Fault injection: a broken builder must be caught by the verifiers.
 
 Each product-side case drops one Pochhammer family from the schedule, flips
-its sign or steps it by q^2 instead of q.  The build derives every factor of
-a family, its tail and its low binomials, from the family's (head, step), so
-each case changes them all.  A dropped or sign-flipped family changes the
-product first at the degree of its head (its step q has degree 4 > 0); a q^2
-step first loses the factor head * q, at that degree plus 4.  The mismatch
-must be reported there.  Each orbit-side case drops ring n of an orbit sum,
+its sign or steps it by q^2 instead of q; each prefactor case does the same
+to one prefactor family.  The build derives every factor of a family, its
+tail and its low binomials, from the family's (head, step), so each case
+changes them all.  A dropped or sign-flipped family changes the product
+first at the degree of its head (its step q has degree 4 > 0); a q^2 step
+first loses the factor head * q, at that degree plus 4.  The mismatch must
+be reported there, by the denominator check and by the ratio check, which
+divides the orbit sum by the quotient P' derived from both tables: with a
+wrong P' the ratio is P' over the wrong one, which first differs from 1 at
+that same degree.  Each orbit-side case drops ring n of an orbit sum,
 which must be reported at the lowest degree of that ring.  The Weyl-action
 cases break `roots.translate` or `roots.reflect`, which the closed-form
 orbit sum does not use.
@@ -31,38 +35,41 @@ def fresh_caches():
         f.cache_clear()
 
 
-@pytest.mark.parametrize("i", range(len(ids._SCHEDULE)))
-def test_dropped_factor_is_caught(monkeypatch, fresh_caches, i):
-    head = ids._SCHEDULE[i][0]
-    monkeypatch.setattr(ids, "_SCHEDULE", ids._SCHEDULE[:i] + ids._SCHEDULE[i + 1:])
-    rep = ids.verify_denominator(12)
-    assert not rep.matched
-    assert ids.GL.degree(rep.first_diffs[0][0]) == ids.GL.degree(head)
-    assert not ids.ratio_support_check(12).matched
-
-
 def _assert_caught_at(degree):
-    rep = ids.verify_denominator(12)
-    assert not rep.matched
-    assert ids.GL.degree(rep.first_diffs[0][0]) == degree
-    assert not ids.ratio_support_check(12).matched
+    for rep in (ids.verify_denominator(12), ids.ratio_support_check(12)):
+        assert not rep.matched
+        assert ids.GL.degree(rep.first_diffs[0][0]) == degree
 
 
-@pytest.mark.parametrize("i", range(len(ids._SCHEDULE)))
-def test_flipped_sign_is_caught(monkeypatch, fresh_caches, i):
-    head, step, sign, inverse = ids._SCHEDULE[i]
-    schedule = list(ids._SCHEDULE)
-    schedule[i] = (head, step, -sign, inverse)
-    monkeypatch.setattr(ids, "_SCHEDULE", tuple(schedule))
+# the schedule cases keep their ids 0..15; the prefactor cases are prefactor-i
+_FAMILIES = ([pytest.param("_SCHEDULE", i, id=str(i))
+              for i in range(len(ids._SCHEDULE))]
+             + [pytest.param("_PREFACTOR", i, id=f"prefactor-{i}")
+                for i in range(len(ids._PREFACTOR))])
+
+
+@pytest.mark.parametrize("table, i", _FAMILIES)
+def test_dropped_factor_is_caught(monkeypatch, fresh_caches, table, i):
+    families = getattr(ids, table)
+    monkeypatch.setattr(ids, table, families[:i] + families[i + 1:])
+    _assert_caught_at(ids.GL.degree(families[i][0]))
+
+
+@pytest.mark.parametrize("table, i", _FAMILIES)
+def test_flipped_sign_is_caught(monkeypatch, fresh_caches, table, i):
+    families = list(getattr(ids, table))
+    head, step, sign, inverse = families[i]
+    families[i] = (head, step, -sign, inverse)
+    monkeypatch.setattr(ids, table, tuple(families))
     _assert_caught_at(ids.GL.degree(head))
 
 
-@pytest.mark.parametrize("i", range(len(ids._SCHEDULE)))
-def test_squared_step_is_caught(monkeypatch, fresh_caches, i):
-    head, step, sign, inverse = ids._SCHEDULE[i]
-    schedule = list(ids._SCHEDULE)
-    schedule[i] = (head, tuple(2 * g for g in step), sign, inverse)
-    monkeypatch.setattr(ids, "_SCHEDULE", tuple(schedule))
+@pytest.mark.parametrize("table, i", _FAMILIES)
+def test_squared_step_is_caught(monkeypatch, fresh_caches, table, i):
+    families = list(getattr(ids, table))
+    head, step, sign, inverse = families[i]
+    families[i] = (head, tuple(2 * g for g in step), sign, inverse)
+    monkeypatch.setattr(ids, table, tuple(families))
     _assert_caught_at(ids.GL.degree(head) + 4)
 
 

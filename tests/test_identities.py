@@ -134,7 +134,7 @@ def test_factor_schedule_keeps_intermediates_small(trace):
     ids.build_lhs.__wrapped__(24)
     built = trace.sizes
     assert max(built) <= 1_550
-    tails, low = ids._split_schedule(24)
+    tails, low = ids._split_schedule(ids._SCHEDULE, 24)
     assert len(built) == len(tails) + len(low) == 48
     trace.reset()
     ids.divide_by_lhs(rhs)
@@ -156,6 +156,19 @@ def test_factor_schedule_makes_few_term_operations(monkeypatch, trace):
     assert trace.visited <= 11_460
     monkeypatch.undo()
     assert lhs == ids.build_lhs(40)
+
+
+def test_quotient_division_makes_few_term_operations(trace):
+    # the ratio check divides the orbit sum (583 terms at N = 24) by
+    # P' = LHS / prefactor; the right side's multiply (4,488 source terms)
+    # and its division by the product side (11,460, peak 1,550) together
+    # visit 15,948
+    orbit = ids.build_orbit_sum(24)
+    trace.reset()
+    y = ids._divide_by(orbit, ids._quotient_families())
+    assert y == GradedSeries.one(GL, 24)
+    assert trace.visited <= 8_757
+    assert max(trace.sizes) <= 905
 
 
 # -- prefactor ---------------------------------------------------------------
@@ -294,6 +307,23 @@ def test_ratio_support(order=16):
     assert rep.matched
     assert rep.extra["support_ok"] and rep.extra["is_one"]
     assert rep.extra["bad_monomials"] == []
+
+
+@pytest.mark.parametrize("order", range(49))
+def test_quotient_families_are_lhs_over_prefactor(order):
+    p = ids._divide_by(ids.build_lhs(order), ids._quotient_families())
+    assert p == ids.build_prefactor(order)
+
+
+def test_ratio_support_builds_no_right_side(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the ratio check built a right side")
+
+    for name in ("mul", "build_rhs", "build_prefactor"):
+        monkeypatch.setattr(ids, name, forbidden)
+    monkeypatch.setattr(series, "mul", forbidden)
+    rep = ids.ratio_support_check(24)
+    assert rep.matched and rep.lhs_terms == rep.rhs_terms == 1
 
 
 def test_ratio_support_flags_bad_builder():
