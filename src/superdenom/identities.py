@@ -22,6 +22,7 @@ from .series import (
     finite_gl_lattice,
     gl_lattice,
     mul,
+    ring_sum,
     sl21_lattice,
 )
 
@@ -254,8 +255,8 @@ def build_orbit_sum(order: int, method: str = "closed") -> GradedSeries:
     (`roots.WeylElement.apply`), so it does not rely on that derivation.
     """
     if method == "closed":
-        return roots.ring_sum(lambda n: _closed_orbit_term(order, n),
-                              closed_range_bound(order))
+        return ring_sum(lambda n: _closed_orbit_term(order, n),
+                        closed_range_bound(order))
     if method == "weyl":
         return roots.orbit_sum("What_alpha", roots.STANDARD_SEED, GL, order)
     raise ValueError(f"unknown method {method!r}")
@@ -326,7 +327,7 @@ def _sl21_ring(order: int, n: int):
 
 @lru_cache(maxsize=None)
 def build_sl21_rhs(order: int) -> GradedSeries:
-    return roots.ring_sum(lambda n: _sl21_ring(order, n), order + 8)
+    return ring_sum(lambda n: _sl21_ring(order, n), order + 8)
 
 
 def verify_sl21(order: int) -> QReport:

@@ -17,7 +17,7 @@ or leave: `Weight.of`, a non-int scalar in `Weight.__rmul__`, and the value
 
 from __future__ import annotations
 
-from .series import GradedSeries, LatticeSpec, SeriesError, expand_term, linear_combine
+from .series import GradedSeries, LatticeSpec, expand_term, ring_sum
 
 
 class RootError(Exception):
@@ -284,28 +284,6 @@ def _ring(group: str, k: int):
     if group == "What_gamma":
         return (WeylElement(pp=k), WeylElement(pp=k, epsp=1))
     raise ValueError(f"unknown group {group!r}")
-
-
-def ring_sum(terms, bound: int) -> GradedSeries:
-    """Sum of the series that terms(k) lists, over all integers k.
-
-    terms(k) lists the series of translation power k; terms(0) must list
-    at least one, which fixes the lattice and cutoff of the sum.  The sum
-    visits ring n, the powers +-n, for n = 0, 1, 2, ... and stops at the
-    first ring n > 0 whose series are all zero below the cutoff.  A ring
-    past ``bound`` that still contributes raises SeriesError, so a sum that
-    would not terminate fails instead.
-    """
-    parts = list(terms(0))
-    n = 1
-    while True:
-        live = [t for k in (n, -n) for t in terms(k) if not t.is_zero()]
-        if not live:
-            return linear_combine((1, t) for t in parts)
-        if n > bound:
-            raise SeriesError(f"ring {n} past the bound {bound} still contributes")
-        parts += live
-        n += 1
 
 
 def orbit_sum(group: str, seed: OrbitTerm, lattice: LatticeSpec,

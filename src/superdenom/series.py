@@ -559,6 +559,28 @@ def expand_term(lattice: LatticeSpec, cutoff: int, sign: int, base,
                            factors)
 
 
+def ring_sum(terms, bound: int) -> GradedSeries:
+    """Sum of the series that terms(k) lists, over all integers k.
+
+    terms(k) lists the series of translation power k; terms(0) must list
+    at least one, which fixes the lattice and cutoff of the sum.  The sum
+    visits ring n, the powers +-n, for n = 0, 1, 2, ... and stops at the
+    first ring n > 0 whose series are all zero below the cutoff.  A ring
+    past ``bound`` that still contributes raises SeriesError, so a sum that
+    would not terminate fails instead.
+    """
+    parts = list(terms(0))
+    n = 1
+    while True:
+        live = [t for k in (n, -n) for t in terms(k) if not t.is_zero()]
+        if not live:
+            return linear_combine((1, t) for t in parts)
+        if n > bound:
+            raise SeriesError(f"ring {n} past the bound {bound} still contributes")
+        parts += live
+        n += 1
+
+
 # -- interchange format ------------------------------------------------------
 
 

@@ -50,6 +50,20 @@ def test_negative_order_rejected(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, value", [
+    (["verify-denom", "--order", "abc"], "abc"),
+    (["dump", "--expr", "lhs", "--order", "abc"], "abc"),
+    (["jacobi", "--max-n", "x"], "x"),
+], ids=["verify-denom", "dump", "jacobi"])
+def test_non_integer_order_rejected(capsys, argv, value):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"order must be an integer, not {value!r}" in err
+    assert "_order" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["verify-denom", "--order", str(MAX_CUTOFF + 1)],
     ["jacobi", "--max-n", str(MAX_CUTOFF + 1)],
@@ -231,31 +245,39 @@ def test_parser_defaults():
     assert args.max_n == 64
 
 
-def test_parser_built_once():
-    assert build_parser() is build_parser()
-    assert build_parser("jacobi") is build_parser()
+def test_run_parser_is_shared_and_full_parser_is_new():
+    cli._run_parser.cache_clear()
+    try:
+        assert build_parser("jacobi") is build_parser("verify-denom")
+        assert list(cli._run_parser()[1].choices) == ["jacobi", "verify-denom"]
+        full = build_parser()
+        assert full is not build_parser()
+        assert full is not build_parser("jacobi")
+        assert "{%s}" % ",".join(cli._COMMANDS) in full.format_usage()
+        assert list(cli._run_parser()[1].choices) == ["jacobi", "verify-denom"]
+    finally:
+        cli._run_parser.cache_clear()
 
 
 # Runs main() with argv=None, as the console script does, so main reads the
-# command from sys.argv.  A first argument of "1" registers every subcommand
-# before main runs.  The last line printed is the exit code and the
-# registered subcommands.
+# command from sys.argv; a first argument of "full" parses sys.argv with
+# the full parser instead.  The last line printed is the exit code and the
+# subcommands the run parser holds.
 MAIN_PROBE = """
 import sys
 from superdenom import cli
-if sys.argv.pop(1) == "1":
-    cli.build_parser()
+run = cli.build_parser().parse_args if sys.argv.pop(1) == "full" else cli.main
 try:
-    code = cli.main()
+    code = run()
 except SystemExit as exc:
     code = exc.code
-sys.stdout.write("\\n%r %r" % (code, list(cli._parser()[1].choices)))
+sys.stdout.write("\\n%r %r" % (code, list(cli._run_parser()[1].choices)))
 """
 
 
-def run_main(full_parser_first, *argv):
+def run_main(mode, *argv):
     proc = subprocess.run(
-        [sys.executable, "-c", MAIN_PROBE, str(int(full_parser_first)), *argv],
+        [sys.executable, "-c", MAIN_PROBE, mode, *argv],
         capture_output=True, text=True)
     out, _, tail = proc.stdout.rpartition("\n")
     code, registered = tail.split(" ", 1)
@@ -269,38 +291,41 @@ def run_main(full_parser_first, *argv):
     ["dump"], ["jacobi", "--max-n", "999"],
 ], ids=lambda argv: " ".join(argv) or "no-argument")
 def test_on_demand_subparsers_print_what_the_full_parser_prints(argv):
-    on_demand, _ = run_main(False, *argv)
-    full, registered = run_main(True, *argv)
+    on_demand, registered = run_main("run", *argv)
+    full, untouched = run_main("full", *argv)
     assert on_demand == full
-    assert registered == list(cli._COMMANDS)
+    assert registered == (argv[:1] if argv and argv[0] in cli._COMMANDS else [])
+    assert untouched == []
     assert on_demand[0] in (0, 2)
     assert "Traceback" not in on_demand[2]
 
 
 def test_a_run_registers_only_its_subparser():
-    (code, out, err), registered = run_main(False, "ratio-support", "--order", "4")
+    (code, out, err), registered = run_main("run", "ratio-support", "--order", "4")
     assert (code, err) == (0, "")
     assert out.startswith("ratio-support: MATCHED")
     assert registered == ["ratio-support"]
 
 
-def test_full_registration_after_a_run_keeps_the_listing_order(capsys):
-    # a subparser registered on demand comes first in the parser's map;
-    # registering the rest puts every subcommand back in listing order
-    cli._parser.cache_clear()
+def test_help_after_a_run_lists_every_subcommand_in_order(capsys):
+    # a run leaves only its own subparser in the run parser; --help after
+    # it prints what a fresh process prints, with all nine subcommands
+    cli._run_parser.cache_clear()
     try:
         assert main(["ratio-support", "--order", "4"]) == 0
         capsys.readouterr()
-        assert list(cli._parser()[1].choices) == ["ratio-support"]
         with pytest.raises(SystemExit):
             main(["--help"])
         after_run = capsys.readouterr().out
-        cli._parser.cache_clear()
+        assert list(cli._run_parser()[1].choices) == ["ratio-support"]
+        assert "{%s}" % ",".join(cli._COMMANDS) in after_run
+        assert after_run == build_parser().format_help()
+        cli._run_parser.cache_clear()
         with pytest.raises(SystemExit):
             main(["--help"])
         assert capsys.readouterr().out == after_run
     finally:
-        cli._parser.cache_clear()
+        cli._run_parser.cache_clear()
 
 
 @pytest.mark.parametrize("first, second", [
@@ -310,7 +335,7 @@ def test_full_registration_after_a_run_keeps_the_listing_order(capsys):
 def test_no_flag_leaks_between_calls(capsys, first, second):
     run(capsys, *first)
     code, out = run(capsys, *second)
-    cli._parser.cache_clear()
+    cli._run_parser.cache_clear()
     fresh_code, fresh = run(capsys, *second)
     assert (code, out) == (fresh_code, fresh)
     assert code == 0
@@ -363,3 +388,13 @@ def test_import_graph_leaves_out_deferred_modules():
     assert cli_file == cli.__file__
     assert [m for m in imported if m in DEFERRED] == []
     assert [m for m in after_run if m in DEFERRED] == []
+
+
+def test_package_import_loads_no_submodule():
+    probe = ("import sys, superdenom; print(repr((superdenom.__file__, "
+             "sorted(m for m in sys.modules if m.startswith('superdenom.')))))")
+    out = subprocess.run([sys.executable, "-c", probe],
+                         capture_output=True, text=True, check=True).stdout
+    init_file, loaded = ast.literal_eval(out)
+    assert os.path.dirname(init_file) == os.path.dirname(cli.__file__)
+    assert loaded == []

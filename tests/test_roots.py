@@ -33,17 +33,13 @@ from superdenom.roots import (
     inner,
     orbit_sum,
     reflect,
-    ring_sum,
     translate,
     weight_to_exp,
 )
 from superdenom.series import (
-    GradedSeries,
-    SeriesError,
     cone_coords,
     gl_lattice,
     linear_combine,
-    q_lattice,
 )
 
 GL = gl_lattice()
@@ -338,35 +334,3 @@ def test_finite_orbit_sums_are_two_term():
                               GL3, 8)),
     ])
     assert wa == direct
-
-
-# -- ring_sum ------------------------------------------------------------------
-
-
-def test_ring_sum_stops_at_first_empty_ring():
-    # a finite group's ring 1 is empty; ring 2 would contribute but must
-    # never be reached, and an all-zero ring stops the sum the same way
-    QL = q_lattice()
-    one, zero = GradedSeries.one(QL, 6), GradedSeries.zero(QL, 6)
-    q = GradedSeries.monomial(QL, 6, (1,))
-    for ring1 in ([], [zero, zero]):
-        visited = []
-
-        def terms(k):
-            visited.append(k)
-            return {0: [one, q], 1: ring1, -1: ring1}.get(k, [q])
-
-        assert ring_sum(terms, 10) == linear_combine([(1, one), (1, q)])
-        assert visited == [0, 1, -1]
-
-
-def test_ring_sum_raises_when_a_ring_past_its_bound_contributes():
-    QL = q_lattice()
-    one = GradedSeries.one(QL, 4)
-    with pytest.raises(SeriesError):
-        ring_sum(lambda k: [one], 20)      # a nonzero monomial forever
-    # rings 1..5 contribute: bound 5 is enough, bound 4 is not
-    five = lambda k: [one] if abs(k) <= 5 else []
-    assert ring_sum(five, 5) == linear_combine([(11, one)])
-    with pytest.raises(SeriesError):
-        ring_sum(five, 4)

@@ -29,6 +29,7 @@ from superdenom.series import (
     linear_combine,
     mul,
     q_lattice,
+    ring_sum,
     serialize,
     sl21_lattice,
 )
@@ -369,6 +370,38 @@ def test_expand_term_vanishing_numerator():
 
 def test_expand_term_beyond_cutoff_is_zero():
     assert expand_term(GL3, 2, 1, (3, 0, 0), dens=[(0, 1, 0)]).is_zero()
+
+
+# -- ring_sum ----------------------------------------------------------------
+
+
+def test_ring_sum_stops_at_first_empty_ring():
+    # a finite group's ring 1 is empty; ring 2 would contribute but must
+    # never be reached, and an all-zero ring stops the sum the same way
+    QL = q_lattice()
+    one, zero = GradedSeries.one(QL, 6), GradedSeries.zero(QL, 6)
+    q = GradedSeries.monomial(QL, 6, (1,))
+    for ring1 in ([], [zero, zero]):
+        visited = []
+
+        def terms(k):
+            visited.append(k)
+            return {0: [one, q], 1: ring1, -1: ring1}.get(k, [q])
+
+        assert ring_sum(terms, 10) == linear_combine([(1, one), (1, q)])
+        assert visited == [0, 1, -1]
+
+
+def test_ring_sum_raises_when_a_ring_past_its_bound_contributes():
+    QL = q_lattice()
+    one = GradedSeries.one(QL, 4)
+    with pytest.raises(SeriesError):
+        ring_sum(lambda k: [one], 20)      # a nonzero monomial forever
+    # rings 1..5 contribute: bound 5 is enough, bound 4 is not
+    five = lambda k: [one] if abs(k) <= 5 else []
+    assert ring_sum(five, 5) == linear_combine([(11, one)])
+    with pytest.raises(SeriesError):
+        ring_sum(five, 4)
 
 
 # -- property suites ---------------------------------------------------------
