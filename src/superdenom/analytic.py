@@ -53,13 +53,14 @@ class EvalConfig:
 
 
 def pole_distance(cfg: EvalConfig, y: complex) -> float:
-    """Distance of y^2 from the nearest +-q^m (the pole set of B)."""
+    """Relative distance |y^2 -+ q^m| / q^m of y^2 from the nearest +-q^m
+    (the pole set of B), which stays meaningful where both are tiny."""
     ay = abs(y) ** 2
     best = math.inf
     m = round(math.log(ay, cfg.q)) if ay > 0 else 0
     for mm in range(m - 2, m + 3):
         t = cfg.q ** mm
-        best = min(best, abs(y * y - t), abs(y * y + t))
+        best = min(best, abs(y * y - t) / t, abs(y * y + t) / t)
     return best
 
 

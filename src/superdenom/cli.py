@@ -122,11 +122,11 @@ _VERIFIERS = {
 }
 
 _DUMPERS = {
-    "lhs": lambda n: identities.build_lhs(n),
+    "lhs": identities.build_lhs,
     "rhs": identities.build_rhs,
-    "prefactor": lambda n: identities.build_prefactor(n),
-    "orbit-sum": lambda n: identities.build_orbit_sum(n),
-    "rhat-roots": lambda n: identities.build_lhs(n, "roots"),
+    "prefactor": identities.build_prefactor,
+    "orbit-sum": identities.build_orbit_sum,
+    "rhat-roots": identities.lhs_from_roots,
 }
 
 
@@ -232,20 +232,23 @@ def _run(args, out) -> int:
 
 
 def _cannot_write(target: str, exc: OSError) -> int:
-    sys.stderr.write(f"superdenom: error: cannot write {target}: "
-                     f"{exc.strerror or exc}\n")
+    try:
+        sys.stderr.write(f"superdenom: error: cannot write {target}: "
+                         f"{exc.strerror or exc}\n")
+    except OSError:  # stderr is on the same closed pipe
+        _silence(sys.stderr)
     return 2
 
 
-def _silence_stdout() -> None:
-    """Point stdout's descriptor at the null device, so that the flush at
-    interpreter exit writes what is still buffered there instead of
+def _silence(stream) -> None:
+    """Point the stream's descriptor at the null device, so that the flush
+    at interpreter exit writes what is still buffered there instead of
     failing again on a closed pipe."""
     try:
         devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+        os.dup2(devnull, stream.fileno())
         os.close(devnull)
-    except (OSError, ValueError):  # stdout has no descriptor of its own
+    except (OSError, ValueError):  # the stream has no descriptor of its own
         pass
 
 
@@ -259,7 +262,7 @@ def main(argv=None) -> int:
             sys.stdout.flush()  # a reader that went away shows here
             return code
         except OSError as exc:
-            _silence_stdout()
+            _silence(sys.stdout)
             return _cannot_write("stdout", exc)
     try:
         # opened before any work, so an unwritable path fails at once

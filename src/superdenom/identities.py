@@ -9,7 +9,6 @@ support shape of the ratio of the two sides.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 from . import roots
@@ -35,7 +34,7 @@ Q = (1, 0, 0, 0)
 # The product side as Pochhammer families (head, step, sign, inverse), each
 # prod_{n>=0} (1 + sign head step^n) or its inverse; every step is q.  A
 # family splits as (h; g)_inf = (1 + sign h)(1 + sign h g) (h g^2; g)_inf.
-# build_lhs applies the 16 tails (h g^2; g)_inf first, in this order, then
+# `_product` applies the 16 tails (h g^2; g)_inf first, in this order, then
 # the low binomials, the h g layer before the h layer, families in this order
 # within a layer; divide_by_lhs walks it all backwards.  Low-degree binomials
 # touch nearly every term and grow the series most, so applying them last
@@ -77,6 +76,16 @@ _PREFACTOR = (
     ((1, 0, 1, -1), Q, -1, True),     # q y1/y2
 )
 
+# The sl(2|1) product side on the (z, u1, u2) lattice as families, as in
+# _SCHEDULE; every step is z.
+Z = (1, 0, 0)
+_SL21_PRODUCT = (
+    ((0, 1, 1), Z, -1, False), ((1, -1, -1), Z, -1, False),  # u1 u2, z/(u1 u2)
+    (Z, Z, -1, False), (Z, Z, -1, False),
+    ((0, 1, 0), Z, +1, True), ((1, -1, 0), Z, +1, True),     # u1, z/u1
+    ((0, 0, 1), Z, +1, True), ((1, 0, -1), Z, +1, True),     # u2, z/u2
+)
+
 # Where P' puts its two families that no schedule entry cancels, (q y2/y1; q)
 # and (q y1/y2; q): before the last four surviving schedule entries.  The
 # division of O by P' then visits 8,757 source terms at N = 24 and 45,349 at
@@ -96,7 +105,7 @@ def _shift(head, step, n):
     return tuple(h + n * g for h, g in zip(head, step))
 
 
-def _split_schedule(families, order: int):
+def _split_schedule(lattice, order: int, families):
     """The tails (head, step, sign, inverse) of families, in their order,
     and the low binomials (monomial, sign, inverse), top layer first, each
     family's factors derived from its (head, step); binomials above the
@@ -106,56 +115,51 @@ def _split_schedule(families, order: int):
     low = [(_shift(h, g, n), sign, inverse)
            for n in reversed(range(_LOW_LAYERS))
            for h, g, sign, inverse in families
-           if GL.degree(_shift(h, g, n)) <= order]
+           if lattice.degree(_shift(h, g, n)) <= order]
     return tails, low
+
+
+def _product(lattice, order: int, families) -> GradedSeries:
+    """The product of families: the tail of every family, one
+    `apply_pochhammer` call each, then their low binomials in one
+    `apply_binomials` call, top layer first (see `_split_schedule`)."""
+    tails, low = _split_schedule(lattice, order, families)
+    s = GradedSeries.one(lattice, order)
+    for head, step, sign, inverse in tails:
+        s = apply_pochhammer(s, head, step, sign, inverse)
+    return apply_binomials(s, low)
 
 
 def _positive_root_monomials(order: int):
     """(is_even, raw exponents of e^{-root}) for all positive affine roots
     whose monomial has degree <= order; imaginary roots s*delta enter with
     multiplicity 4 (the Cartan dimension)."""
-    even_fin = [(0, 1, 0, 0), (0, 1, 1, 1)]                      # alpha, gamma
-    odd_fin = [(0, 0, 1, 0), (0, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1)]
-    out = [(True, e) for e in even_fin] + [(False, e) for e in odd_fin]
-    s = 1
-    while True:
-        layer = []
-        for sgn in (1, -1):
-            for e in even_fin:
-                layer.append((True, (s, sgn * e[1], sgn * e[2], sgn * e[3])))
-            for e in odd_fin:
-                layer.append((False, (s, sgn * e[1], sgn * e[2], sgn * e[3])))
-        layer.extend((True, (s, 0, 0, 0)) for _ in range(4))
-        layer = [(p, e) for p, e in layer if GL.degree(e) <= order]
-        if not layer:
-            break
-        out.extend(layer)
-        s += 1
+    fin = [(True, (0, 1, 0, 0)), (True, (0, 1, 1, 1)),  # alpha, gamma
+           (False, (0, 0, 1, 0)), (False, (0, 0, 0, 1)),
+           (False, (0, 1, 1, 0)), (False, (0, 1, 0, 1))]
+    out = list(fin)
+    for s in range(1, order + 1):  # level s starts at degree 4s - 3
+        out += [(p, (s, *(sgn * c for c in e[1:])))
+                for sgn in (1, -1) for p, e in fin]
+        out += [(True, (s, 0, 0, 0))] * 4
     return [(p, e) for p, e in out if GL.degree(e) <= order]
 
 
 @lru_cache(maxsize=None)
-def build_lhs(order: int, method: str = "explicit") -> GradedSeries:
-    """The infinite-product side as an exact truncated series.
+def build_lhs(order: int) -> GradedSeries:
+    """The infinite-product side, the product of the `_SCHEDULE` families;
+    no partial product reaches twice the final series at N = 40.  Its
+    independent cross-check is `lhs_from_roots`."""
+    return _product(GL, order, _SCHEDULE)
 
-    The explicit product applies the tail of every `_SCHEDULE` family, one
-    `apply_pochhammer` call each, and then the families' low binomials in
-    one `apply_binomials` call, top layer first (see `_split_schedule`);
-    no partial product reaches twice the final series at N = 40.  The
-    "roots" method is an independent cross-check: it takes one binomial per
-    positive affine root from `_positive_root_monomials`, so it does not
-    rely on the hand-listed Pochhammer heads of `_SCHEDULE`.
-    """
-    s = GradedSeries.one(GL, order)
-    if method == "explicit":
-        tails, low = _split_schedule(_SCHEDULE, order)
-        for head, step, sign, inverse in tails:
-            s = apply_pochhammer(s, head, step, sign, inverse)
-        return apply_binomials(s, low)
-    if method == "roots":
-        return apply_binomials(s, [(e, -1, False) if is_even else (e, 1, True)
-                                   for is_even, e in _positive_root_monomials(order)])
-    raise ValueError(f"unknown method {method!r}")
+
+def lhs_from_roots(order: int) -> GradedSeries:
+    """The infinite-product side, one binomial per positive affine root
+    from `_positive_root_monomials`: a cross-check of `build_lhs` that is
+    independent of the hand-listed Pochhammer heads of `_SCHEDULE`."""
+    return apply_binomials(GradedSeries.one(GL, order),
+                           [(e, -1, False) if is_even else (e, 1, True)
+                            for is_even, e in _positive_root_monomials(order)])
 
 
 def _divide_by(s: GradedSeries, families) -> GradedSeries:
@@ -167,7 +171,7 @@ def _divide_by(s: GradedSeries, families) -> GradedSeries:
     the product, every intermediate is one of the build's partial
     products, so none is larger than those.
     """
-    tails, low = _split_schedule(families, s.cutoff)
+    tails, low = _split_schedule(s.lattice, s.cutoff, families)
     s = apply_binomials(s, [(e, sign, not inverse)
                             for e, sign, inverse in reversed(low)])
     for head, step, sign, inverse in reversed(tails):
@@ -176,8 +180,7 @@ def _divide_by(s: GradedSeries, families) -> GradedSeries:
 
 
 def divide_by_lhs(s: GradedSeries) -> GradedSeries:
-    """Exact division by the infinite product: `build_lhs` (explicit)
-    retraced backwards."""
+    """Exact division by the product side: `build_lhs` retraced backwards."""
     return _divide_by(s, _SCHEDULE)
 
 
@@ -200,42 +203,34 @@ def _quotient_families():
 
 
 @lru_cache(maxsize=None)
-def build_prefactor(order: int, method: str = "product") -> GradedSeries:
-    """((1-q)_q^inf)^2 / ((1-q y2/y1)_q^inf (1-q y1/y2)_q^inf).
+def build_prefactor(order: int) -> GradedSeries:
+    """((1-q)_q^inf)^2 / ((1-q y2/y1)_q^inf (1-q y1/y2)_q^inf), the product
+    of the `_PREFACTOR` families.  Its independent cross-check is
+    `prefactor_fn_series`."""
+    return _product(GL, order, _PREFACTOR)
 
-    The "fn_series" form is an independent cross-check: it writes down the
-    coefficients of the cyclotomic pieces f_n(y1/y2) in closed form, with
-    no series multiplication or division.  A monomial q^m (y1/y2)^k has
-    degree 4m and needs |k| <= m to stay in the cone.
+
+def prefactor_fn_series(order: int) -> GradedSeries:
+    """The prefactor from the closed-form coefficients of its cyclotomic
+    pieces f_n(y1/y2): a cross-check of `build_prefactor` that is
+    independent of series multiplication and division.  A monomial
+    q^m (y1/y2)^k has degree 4m and needs |k| <= m to stay in the cone.
     """
-    if method == "product":
-        s = GradedSeries.one(GL, order)
-        for head, step, sign, inverse in _PREFACTOR:
-            s = apply_pochhammer(s, head, step, sign, inverse)
-        return s
-    if method == "fn_series":
-        terms = {(0, 0, 0, 0): 1}
-        n = 1
-        while 4 * n <= order:
-            j = 0
-            while True:
-                m = (j + 1) * (j + 2 * n) // 2
-                if 4 * m > order:
-                    break
-                c = (-1) ** j
-                for k, w in ((n, 1), (-n, 1), (n - 1, -1), (1 - n, -1)):
-                    e = (m, 0, k, -k)
-                    terms[e] = terms.get(e, 0) + w * c
-                j += 1
-            n += 1
-        return GradedSeries.from_terms(GL, order, terms)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def closed_range_bound(order: int) -> int:
-    """|n| bound for the closed-form orbit sum: the n-th terms have minimal
-    degree 4n (n >= 0) and 4|n| - 3 (n < 0)."""
-    return math.ceil((order + 3) / 4)
+    terms = {(0, 0, 0, 0): 1}
+    n = 1
+    while 4 * n <= order:
+        j = 0
+        while True:
+            m = (j + 1) * (j + 2 * n) // 2
+            if 4 * m > order:
+                break
+            c = (-1) ** j
+            for k, w in ((n, 1), (-n, 1), (n - 1, -1), (1 - n, -1)):
+                e = (m, 0, k, -k)
+                terms[e] = terms.get(e, 0) + w * c
+            j += 1
+        n += 1
+    return GradedSeries.from_terms(GL, order, terms)
 
 
 def _closed_orbit_term(order: int, n: int):
@@ -246,20 +241,16 @@ def _closed_orbit_term(order: int, n: int):
 
 
 @lru_cache(maxsize=None)
-def build_orbit_sum(order: int, method: str = "closed") -> GradedSeries:
+def build_orbit_sum(order: int) -> GradedSeries:
     """Signed affine orbit sum of e^rho/((1+e^{-b1})(1+e^{-b2})), rho-normalized.
 
-    The closed form sums the two hand-derived terms of each translation
-    power.  The "weyl" method is an independent cross-check: it applies
-    the What_alpha group elements to the seed weight by weight
-    (`roots.WeylElement.apply`), so it does not rely on that derivation.
+    Sums the two hand-derived terms of each translation power.  Its
+    independent cross-check is ``roots.orbit_sum("What_alpha",
+    roots.STANDARD_SEED, GL, order)``, which applies the What_alpha group
+    elements to the seed weight by weight (`roots.WeylElement.apply`), so
+    it does not rely on that derivation.
     """
-    if method == "closed":
-        return ring_sum(lambda n: _closed_orbit_term(order, n),
-                        closed_range_bound(order))
-    if method == "weyl":
-        return roots.orbit_sum("What_alpha", roots.STANDARD_SEED, GL, order)
-    raise ValueError(f"unknown method {method!r}")
+    return ring_sum(lambda n: _closed_orbit_term(order, n))
 
 
 @lru_cache(maxsize=None)
@@ -275,8 +266,7 @@ def verify_denominator(order: int) -> QReport:
 
 def verify_prefactor(order: int) -> QReport:
     return compare_series("prefactor-product-vs-series",
-                          build_prefactor(order, "product"),
-                          build_prefactor(order, "fn_series"))
+                          build_prefactor(order), prefactor_fn_series(order))
 
 
 @lru_cache(maxsize=None)
@@ -309,13 +299,9 @@ def verify_talpha_tgamma(order: int) -> QReport:
 
 @lru_cache(maxsize=None)
 def build_sl21_lhs(order: int) -> GradedSeries:
-    z = (1, 0, 0)
-    s = GradedSeries.one(SL21, order)
-    for h in ((0, 1, 1), (1, -1, -1), z, z):
-        s = apply_pochhammer(s, h, z, -1)
-    for h in ((0, 1, 0), (1, -1, 0), (0, 0, 1), (1, 0, -1)):
-        s = apply_pochhammer(s, h, z, +1, inverse=True)
-    return s
+    """The sl(2|1) product side, the product of the `_SL21_PRODUCT`
+    families."""
+    return _product(SL21, order, _SL21_PRODUCT)
 
 
 def _sl21_ring(order: int, n: int):
@@ -327,7 +313,7 @@ def _sl21_ring(order: int, n: int):
 
 @lru_cache(maxsize=None)
 def build_sl21_rhs(order: int) -> GradedSeries:
-    return ring_sum(lambda n: _sl21_ring(order, n), order + 8)
+    return ring_sum(lambda n: _sl21_ring(order, n))
 
 
 def verify_sl21(order: int) -> QReport:

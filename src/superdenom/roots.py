@@ -291,9 +291,8 @@ def orbit_sum(group: str, seed: OrbitTerm, lattice: LatticeSpec,
     """Signed sum of seed over the group, rho-normalized and truncated.
 
     Group elements are visited ring by ring in the translation power, by
-    `ring_sum` with the bound cutoff + 8.
+    `ring_sum`.
     """
     return ring_sum(
         lambda k: [expand_orbit_term(apply_weyl_term(w, seed), lattice, cutoff)
-                   for w in _ring(group, k)],
-        cutoff + 8)
+                   for w in _ring(group, k)])

@@ -559,17 +559,22 @@ def expand_term(lattice: LatticeSpec, cutoff: int, sign: int, base,
                            factors)
 
 
-def ring_sum(terms, bound: int) -> GradedSeries:
+def ring_sum(terms) -> GradedSeries:
     """Sum of the series that terms(k) lists, over all integers k.
 
     terms(k) lists the series of translation power k; terms(0) must list
     at least one, which fixes the lattice and cutoff of the sum.  The sum
     visits ring n, the powers +-n, for n = 0, 1, 2, ... and stops at the
     first ring n > 0 whose series are all zero below the cutoff.  A ring
-    past ``bound`` that still contributes raises SeriesError, so a sum that
-    would not terminate fails instead.
+    past the bound cutoff + 8 that still contributes raises SeriesError, so
+    a sum that would not terminate fails instead.
     """
     parts = list(terms(0))
+    # A ring contributes only if its lowest degree is at most the cutoff.
+    # Ring n >= 1 starts at degree 4n - 3 in the closed, What_alpha, T_alpha
+    # and T_gamma sums and at 3n^2 - 2n in the sl(2|1) sum, so every ring
+    # that contributes lies far below cutoff + 8.
+    bound = parts[0].cutoff + 8
     n = 1
     while True:
         live = [t for k in (n, -n) for t in terms(k) if not t.is_zero()]

@@ -147,6 +147,18 @@ def test_analytic_unusable_q_is_usage_error(capsys, argv):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("q", ["0.01", "0.001"])
+def test_analytic_small_q_is_resolved(capsys, q):
+    # B is also evaluated at q*y, where y^2 and the nearest q^m are both
+    # tiny: the pole guard measures |y^2 -+ q^m| relative to q^m, so a small
+    # q is no usage error
+    code = main(["analytic", "--q", q])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    assert captured.out.startswith("ok: True\n")
+
+
 @pytest.mark.parametrize("cmd, fmt", [
     *[(c, "csv") for c in ("verify-denom", "verify-prefactor", "verify-finite",
                            "verify-sl21", "verify-talpha-tgamma",
@@ -211,23 +223,32 @@ def test_unwritable_output_fails_before_any_work(tmp_path, monkeypatch, capsys):
     assert len(captured.err.splitlines()) == 1
 
 
-@pytest.mark.parametrize("argv", [["verify-denom", "--order", "8"],
-                                  ["jacobi", "--max-n", "224"]])
-def test_closed_stdout_is_usage_error(argv):
+@pytest.mark.parametrize("argv, same_pipe", [
+    pytest.param(["verify-denom", "--order", "8"], False, id="argv0"),
+    pytest.param(["jacobi", "--max-n", "224"], False, id="argv1"),
+    pytest.param(["verify-denom", "--order", "8"], True,
+                 id="stderr-on-the-same-closed-pipe"),
+])
+def test_closed_stdout_is_usage_error(argv, same_pipe):
     # the read end is closed before the child starts, so every write to
     # its stdout fails, however small the output and whenever it comes.
     # stdout stays block-buffered, as in a plain run: bytes still buffered
-    # when a write fails would make the flush at exit fail a second time
+    # when a write fails would make the flush at exit fail a second time.
+    # With stderr on the same pipe, as in `2>&1 | head -c0`, the message
+    # cannot be written either, and the status is still 2, not 1
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         proc = subprocess.run([sys.executable, "-m", "superdenom.cli", *argv],
-                              stdout=write_end, stderr=subprocess.PIPE,
+                              stdout=write_end,
+                              stderr=write_end if same_pipe else subprocess.PIPE,
                               text=True, env=env)
     finally:
         os.close(write_end)
     assert proc.returncode == 2
+    if same_pipe:
+        return
     lines = proc.stderr.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("superdenom: error: cannot write stdout: ")

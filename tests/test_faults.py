@@ -2,18 +2,20 @@
 
 Each product-side case drops one Pochhammer family from the schedule, flips
 its sign or steps it by q^2 instead of q; each prefactor case does the same
-to one prefactor family.  The build derives every factor of a family, its
-tail and its low binomials, from the family's (head, step), so each case
-changes them all.  A dropped or sign-flipped family changes the product
-first at the degree of its head (its step q has degree 4 > 0); a q^2 step
-first loses the factor head * q, at that degree plus 4.  The mismatch must
-be reported there, by the denominator check and by the ratio check, which
-divides the orbit sum by the quotient P' derived from both tables: with a
-wrong P' the ratio is P' over the wrong one, which first differs from 1 at
-that same degree.  Each orbit-side case drops ring n of an orbit sum,
-which must be reported at the lowest degree of that ring.  The Weyl-action
-cases break `roots.translate` or `roots.reflect`, which the closed-form
-orbit sum does not use.
+to one prefactor family, and each sl(2|1) case to one family of the
+sl(2|1) product side, whose step is z.  The build derives every factor of
+a family, its tail and its low binomials, from the family's (head, step),
+so each case changes them all.  A dropped or sign-flipped family changes
+the product first at the degree of its head (its step q has degree 4 > 0,
+z degree 3); a squared step first loses the factor head * step, at that
+degree plus 4 (plus 3 for z).  The mismatch must be reported there, by the
+denominator check and by the ratio check, which divides the orbit sum by
+the quotient P' derived from both gl(2|2) tables: with a wrong P' the ratio
+is P' over the wrong one, which first differs from 1 at that same degree;
+an sl(2|1) case by the sl(2|1) check.  Each orbit-side case drops ring n
+of an orbit sum, which must be reported at the lowest degree of that ring.
+The Weyl-action cases break `roots.translate` or `roots.reflect`, which
+the closed-form orbit sum does not use.
 """
 
 import pytest
@@ -35,24 +37,37 @@ def fresh_caches():
         f.cache_clear()
 
 
-def _assert_caught_at(degree):
-    for rep in (ids.verify_denominator(12), ids.ratio_support_check(12)):
+# table: its lattice and the degree of its step
+_TABLES = {"_SCHEDULE": (ids.GL, 4), "_PREFACTOR": (ids.GL, 4),
+           "_SL21_PRODUCT": (ids.SL21, 3)}
+
+
+def _assert_caught_at(table, degree):
+    lattice, _ = _TABLES[table]
+    if table == "_SL21_PRODUCT":
+        reports = [ids.verify_sl21(18)]
+    else:
+        reports = [ids.verify_denominator(12), ids.ratio_support_check(12)]
+    for rep in reports:
         assert not rep.matched
-        assert ids.GL.degree(rep.first_diffs[0][0]) == degree
+        assert lattice.degree(rep.first_diffs[0][0]) == degree
 
 
-# the schedule cases keep their ids 0..15; the prefactor cases are prefactor-i
+# the schedule cases keep their ids 0..15; the prefactor cases are
+# prefactor-i and the sl(2|1) cases sl21-i
 _FAMILIES = ([pytest.param("_SCHEDULE", i, id=str(i))
               for i in range(len(ids._SCHEDULE))]
              + [pytest.param("_PREFACTOR", i, id=f"prefactor-{i}")
-                for i in range(len(ids._PREFACTOR))])
+                for i in range(len(ids._PREFACTOR))]
+             + [pytest.param("_SL21_PRODUCT", i, id=f"sl21-{i}")
+                for i in range(len(ids._SL21_PRODUCT))])
 
 
 @pytest.mark.parametrize("table, i", _FAMILIES)
 def test_dropped_factor_is_caught(monkeypatch, fresh_caches, table, i):
     families = getattr(ids, table)
     monkeypatch.setattr(ids, table, families[:i] + families[i + 1:])
-    _assert_caught_at(ids.GL.degree(families[i][0]))
+    _assert_caught_at(table, _TABLES[table][0].degree(families[i][0]))
 
 
 @pytest.mark.parametrize("table, i", _FAMILIES)
@@ -61,7 +76,7 @@ def test_flipped_sign_is_caught(monkeypatch, fresh_caches, table, i):
     head, step, sign, inverse = families[i]
     families[i] = (head, step, -sign, inverse)
     monkeypatch.setattr(ids, table, tuple(families))
-    _assert_caught_at(ids.GL.degree(head))
+    _assert_caught_at(table, _TABLES[table][0].degree(head))
 
 
 @pytest.mark.parametrize("table, i", _FAMILIES)
@@ -70,7 +85,8 @@ def test_squared_step_is_caught(monkeypatch, fresh_caches, table, i):
     head, step, sign, inverse = families[i]
     families[i] = (head, tuple(2 * g for g in step), sign, inverse)
     monkeypatch.setattr(ids, table, tuple(families))
-    _assert_caught_at(ids.GL.degree(head) + 4)
+    lattice, step_degree = _TABLES[table]
+    _assert_caught_at(table, lattice.degree(head) + step_degree)
 
 
 def _drop_ring(monkeypatch, name, n):
@@ -105,7 +121,7 @@ def test_translate_without_delta_term_is_caught(monkeypatch, fresh_caches):
     monkeypatch.setattr(
         roots, "translate", lambda mu, lam: lam + roots.inner(lam, roots.DELTA) * mu)
     with pytest.raises(SeriesError, match="past the bound"):
-        ids.build_orbit_sum(24, "weyl")
+        roots.orbit_sum("What_alpha", roots.STANDARD_SEED, ids.GL, 24)
     with pytest.raises(SeriesError, match="past the bound"):
         ids.verify_talpha_tgamma(16)
 

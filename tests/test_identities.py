@@ -55,7 +55,7 @@ def test_lhs_low_degree_slices_match_golden():
 
 
 def test_lhs_methods_agree():
-    assert ids.build_lhs(16, "roots") == ids.build_lhs(16, "explicit")
+    assert ids.lhs_from_roots(16) == ids.build_lhs(16)
 
 
 def test_lhs_restriction_consistency():
@@ -134,7 +134,7 @@ def test_factor_schedule_keeps_intermediates_small(trace):
     ids.build_lhs.__wrapped__(24)
     built = trace.sizes
     assert max(built) <= 1_550
-    tails, low = ids._split_schedule(ids._SCHEDULE, 24)
+    tails, low = ids._split_schedule(GL, 24, ids._SCHEDULE)
     assert len(built) == len(tails) + len(low) == 48
     trace.reset()
     ids.divide_by_lhs(rhs)
@@ -189,8 +189,7 @@ def test_prefactor_known_coefficients():
 
 @pytest.mark.parametrize("order", [8, 17, 25, 40])
 def test_prefactor_methods_agree(order):
-    assert ids.build_prefactor(order, "product") == \
-        ids.build_prefactor(order, "fn_series")
+    assert ids.build_prefactor(order) == ids.prefactor_fn_series(order)
 
 
 # -- orbit sum ---------------------------------------------------------------
@@ -198,8 +197,8 @@ def test_prefactor_methods_agree(order):
 
 @pytest.mark.parametrize("order", [16, 24, 32, 40])
 def test_orbit_sum_methods_agree(order):
-    closed = ids.build_orbit_sum(order, "closed")
-    assert closed == ids.build_orbit_sum(order, "weyl")
+    closed = ids.build_orbit_sum(order)
+    assert closed == roots.orbit_sum("What_alpha", roots.STANDARD_SEED, ids.GL, order)
     # the sum over the What_gamma rings gives the same series
     assert closed == roots.orbit_sum("What_gamma", roots.STANDARD_SEED, ids.GL, order)
 

@@ -206,7 +206,7 @@ ORBIT_PATH_PROBE = """
 import sys
 from superdenom import identities, roots
 roots.orbit_sum("T_alpha", roots.R_RHO_SEED, identities.GL, 16)
-identities.build_orbit_sum(24, "weyl")
+roots.orbit_sum("What_alpha", roots.STANDARD_SEED, identities.GL, 24)
 print("fractions" in sys.modules)
 """
 

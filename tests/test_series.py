@@ -388,7 +388,7 @@ def test_ring_sum_stops_at_first_empty_ring():
             visited.append(k)
             return {0: [one, q], 1: ring1, -1: ring1}.get(k, [q])
 
-        assert ring_sum(terms, 10) == linear_combine([(1, one), (1, q)])
+        assert ring_sum(terms) == linear_combine([(1, one), (1, q)])
         assert visited == [0, 1, -1]
 
 
@@ -396,12 +396,13 @@ def test_ring_sum_raises_when_a_ring_past_its_bound_contributes():
     QL = q_lattice()
     one = GradedSeries.one(QL, 4)
     with pytest.raises(SeriesError):
-        ring_sum(lambda k: [one], 20)      # a nonzero monomial forever
-    # rings 1..5 contribute: bound 5 is enough, bound 4 is not
-    five = lambda k: [one] if abs(k) <= 5 else []
-    assert ring_sum(five, 5) == linear_combine([(11, one)])
-    with pytest.raises(SeriesError):
-        ring_sum(five, 4)
+        ring_sum(lambda k: [one])      # a nonzero monomial forever
+    # the bound is the cutoff 4 plus 8: rings 1..12 may contribute, ring
+    # 13 may not
+    twelve = lambda k: [one] if abs(k) <= 12 else []
+    assert ring_sum(twelve) == linear_combine([(25, one)])
+    with pytest.raises(SeriesError, match="ring 13 past the bound 12"):
+        ring_sum(lambda k: [one] if abs(k) <= 13 else [])
 
 
 # -- property suites ---------------------------------------------------------
