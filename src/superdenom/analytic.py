@@ -31,6 +31,10 @@ class PoleProximity(Exception):
     pass
 
 
+class PrecisionLoss(Exception):
+    pass
+
+
 class EvalConfig:
     """The nome q and the tolerance of every float check; immutable by
     convention.  Raises ValueError for q outside (0, 1) or a tol that is not
@@ -105,13 +109,21 @@ def eval_Rhat(cfg: EvalConfig, y: complex) -> complex:
 
 
 def eval_B(cfg: EvalConfig, y: complex) -> complex:
+    """B(y); raises PrecisionLoss if rounding can move it by tol * max(1,
+    |B|), bounding the rounding by eps times the number of summands times
+    the sum of their absolute values.  Near a zero of B, such as y^3 = -q^m
+    for a small q, the summands cancel and that bound can exceed tol."""
     _check_pole(cfg, y)
     q = cfg.q
+    size = 0.0
 
     def term(n):
+        nonlocal size
         t = q ** n
-        return (t / ((1 + t * y) * (1 + t * y * y))
-                + t / ((1 - t * y) * (1 - t * y * y)))
+        a = t / ((1 + t * y) * (1 + t * y * y))
+        b = t / ((1 - t * y) * (1 - t * y * y))
+        size += abs(a) + abs(b)
+        return a + b
 
     total = term(0)
     n = 1
@@ -123,6 +135,9 @@ def eval_B(cfg: EvalConfig, y: complex) -> complex:
         n += 1
         if n > _MAX_FACTORS:
             raise ConvergenceError("orbit sum did not converge")
+    bound = sys.float_info.epsilon * (4 * n + 2) * size
+    if not bound < cfg.tol * max(1.0, abs(total)):
+        raise PrecisionLoss(f"rounding can move B({y:.3g}) by {bound:.1e}")
     return total
 
 

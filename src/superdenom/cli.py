@@ -214,10 +214,11 @@ def _run(args, out) -> int:
         try:
             code, text = _run_analytic(args)
         except (ValueError, ArithmeticError, analytic.ConvergenceError,
-                analytic.PoleProximity) as exc:
+                analytic.PoleProximity, analytic.PrecisionLoss) as exc:
             # q outside (0, 1), a tol that is not finite or is below double
-            # precision, or q so close to 1 that the float products
-            # underflow or fail to converge: a usage error, not a mismatch
+            # precision, q so close to 1 that the float products underflow
+            # or fail to converge, or so small that rounding swamps B near
+            # its zeros: a usage error, not a mismatch
             sys.stderr.write(f"superdenom analytic: error: cannot evaluate at "
                              f"q={args.q}, tol={args.tol}: {exc}\n")
             return 2

@@ -134,14 +134,23 @@ def _positive_root_monomials(order: int):
     """(is_even, raw exponents of e^{-root}) for all positive affine roots
     whose monomial has degree <= order; imaginary roots s*delta enter with
     multiplicity 4 (the Cartan dimension)."""
-    fin = [(True, (0, 1, 0, 0)), (True, (0, 1, 1, 1)),  # alpha, gamma
-           (False, (0, 0, 1, 0)), (False, (0, 0, 0, 1)),
-           (False, (0, 1, 1, 0)), (False, (0, 1, 0, 1))]
-    out = list(fin)
-    for s in range(1, order + 1):  # level s starts at degree 4s - 3
-        out += [(p, (s, *(sgn * c for c in e[1:])))
-                for sgn in (1, -1) for p, e in fin]
-        out += [(True, (s, 0, 0, 0))] * 4
+    even_fin = [(0, 1, 0, 0), (0, 1, 1, 1)]                      # alpha, gamma
+    odd_fin = [(0, 0, 1, 0), (0, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1)]
+    out = [(True, e) for e in even_fin] + [(False, e) for e in odd_fin]
+    s = 1
+    while True:
+        layer = []
+        for sgn in (1, -1):
+            for e in even_fin:
+                layer.append((True, (s, sgn * e[1], sgn * e[2], sgn * e[3])))
+            for e in odd_fin:
+                layer.append((False, (s, sgn * e[1], sgn * e[2], sgn * e[3])))
+        layer.extend((True, (s, 0, 0, 0)) for _ in range(4))
+        layer = [(p, e) for p, e in layer if GL.degree(e) <= order]
+        if not layer:
+            break
+        out.extend(layer)
+        s += 1
     return [(p, e) for p, e in out if GL.degree(e) <= order]
 
 

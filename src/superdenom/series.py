@@ -566,15 +566,15 @@ def ring_sum(terms) -> GradedSeries:
     at least one, which fixes the lattice and cutoff of the sum.  The sum
     visits ring n, the powers +-n, for n = 0, 1, 2, ... and stops at the
     first ring n > 0 whose series are all zero below the cutoff.  A ring
-    past the bound cutoff + 8 that still contributes raises SeriesError, so
-    a sum that would not terminate fails instead.
+    past the bound, the cutoff itself, that still contributes raises
+    SeriesError, so a sum that would not terminate fails instead.
     """
     parts = list(terms(0))
     # A ring contributes only if its lowest degree is at most the cutoff.
     # Ring n >= 1 starts at degree 4n - 3 in the closed, What_alpha, T_alpha
-    # and T_gamma sums and at 3n^2 - 2n in the sl(2|1) sum, so every ring
-    # that contributes lies far below cutoff + 8.
-    bound = parts[0].cutoff + 8
+    # and T_gamma sums and at 3n^2 - 2n in the sl(2|1) sum, both at least n,
+    # so no ring past the cutoff contributes.
+    bound = parts[0].cutoff
     n = 1
     while True:
         live = [t for k in (n, -n) for t in terms(k) if not t.is_zero()]

@@ -10,6 +10,7 @@ from superdenom import analytic, identities
 from superdenom.analytic import (
     EvalConfig,
     PoleProximity,
+    PrecisionLoss,
     SAMPLES,
     check_an_limits,
     check_b_zeros,
@@ -88,6 +89,16 @@ def test_b_vanishes_at_p_points(cfg):
     rep = check_b_zeros(cfg)
     assert rep["ok"]
     assert rep["max"] < cfg.tol
+
+
+def test_b_zeros_refuse_a_q_where_rounding_reaches_tol():
+    # at q = 1e-14 the summands of B at y^3 = -q^2 reach about 2e9 and
+    # cancel, so rounding can move |B| by about 2e-5: that resolves a tol
+    # of 1e-4 but not the default 1e-8
+    with pytest.raises(PrecisionLoss, match="rounding can move B"):
+        check_b_zeros(EvalConfig(q=1e-14))
+    rep = check_b_zeros(EvalConfig(q=1e-14, tol=1e-4))
+    assert rep["ok"]
 
 
 def test_functional_equations(cfg):

@@ -133,17 +133,23 @@ def test_analytic_defaults_keep_their_stdout(capsys):
 
 @pytest.mark.parametrize("argv", [["--q", "1.5"], ["--q", "0.999"],
                                   ["--tol", "nan"], ["--tol", "inf"],
-                                  ["--tol", "1e-300"]],
-                         ids=["1.5", "0.999", "tol-nan", "tol-inf", "tol-1e-300"])
+                                  ["--tol", "1e-300"],
+                                  *[["--q", q] for q in ("1e-10", "1e-14",
+                                                         "1e-20", "1e-30")]],
+                         ids=["1.5", "0.999", "tol-nan", "tol-inf", "tol-1e-300",
+                              "1e-10", "1e-14", "1e-20", "1e-30"])
 def test_analytic_unusable_q_is_usage_error(capsys, argv):
     # 1.5 is outside (0, 1); at 0.999 the float products underflow to 0;
     # a tolerance must be finite, and no float check meets one below the
-    # double-precision epsilon
+    # double-precision epsilon; at 1e-10 and below the summands of B near
+    # its zeros y^3 = -q^m grow like a power of 1/q and cancel, so rounding
+    # can move B by more than tol
     code = main(["analytic", *argv])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
+    assert "cannot evaluate at q=" in captured.err
     assert "Traceback" not in captured.err
 
 

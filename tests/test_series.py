@@ -397,12 +397,11 @@ def test_ring_sum_raises_when_a_ring_past_its_bound_contributes():
     one = GradedSeries.one(QL, 4)
     with pytest.raises(SeriesError):
         ring_sum(lambda k: [one])      # a nonzero monomial forever
-    # the bound is the cutoff 4 plus 8: rings 1..12 may contribute, ring
-    # 13 may not
-    twelve = lambda k: [one] if abs(k) <= 12 else []
-    assert ring_sum(twelve) == linear_combine([(25, one)])
-    with pytest.raises(SeriesError, match="ring 13 past the bound 12"):
-        ring_sum(lambda k: [one] if abs(k) <= 13 else [])
+    # the bound is the cutoff 4: rings 1..4 may contribute, ring 5 may not
+    four = lambda k: [one] if abs(k) <= 4 else []
+    assert ring_sum(four) == linear_combine([(9, one)])
+    with pytest.raises(SeriesError, match="ring 5 past the bound 4"):
+        ring_sum(lambda k: [one] if abs(k) <= 5 else [])
 
 
 # -- property suites ---------------------------------------------------------
