@@ -157,11 +157,9 @@ def _run_report(args) -> tuple[int, str]:
 
 
 def _run_jacobi(args) -> tuple[int, str]:
-    rows = squares.jacobi_table(args.max_n)
-    ok = all(r["match"] for r in rows)
-    gauss_ok = squares.gauss_check(max(args.max_n, 100)).matched
-    inter_ok = squares.intermediate_identity_check(args.max_n).matched
-    code = 0 if ok and gauss_ok and inter_ok else 1
+    doc = squares.verify_jacobi(args.max_n)
+    rows, gauss_ok, inter_ok = doc["rows"], doc["gauss"], doc["intermediate"]
+    code = 0 if doc["all_match"] and gauss_ok and inter_ok else 1
     if args.format == "csv":
         import csv
 
@@ -171,8 +169,6 @@ def _run_jacobi(args) -> tuple[int, str]:
         w.writeheader()
         w.writerows(rows)
         return code, buf.getvalue()
-    doc = {"rows": rows, "all_match": ok, "gauss": gauss_ok,
-           "intermediate": inter_ok}
     if args.format == "json":
         return code, _json_text(doc)
     lines = [f"n={r['n']}: {r['r8_enum']} {r['r8_theta']} {r['r8_formula']} "
@@ -205,14 +201,14 @@ def _run_dump(args) -> tuple[int, str]:
     return 0, serialize(_DUMPERS[args.expr](args.order))
 
 
-def _run(args, out) -> int:
-    """Run the command, write its text and a final newline to out, and
-    return the exit status."""
+def _run(args) -> tuple[int, str | None]:
+    """Run the command: its exit status and its text, or (2, None) after a
+    usage error it has reported on stderr."""
     if args.command == "jacobi":
-        code, text = _run_jacobi(args)
-    elif args.command == "analytic":
+        return _run_jacobi(args)
+    if args.command == "analytic":
         try:
-            code, text = _run_analytic(args)
+            return _run_analytic(args)
         except (ValueError, ArithmeticError, analytic.ConvergenceError,
                 analytic.PoleProximity, analytic.PrecisionLoss) as exc:
             # q outside (0, 1), a tol that is not finite or is below double
@@ -221,15 +217,17 @@ def _run(args, out) -> int:
             # its zeros: a usage error, not a mismatch
             sys.stderr.write(f"superdenom analytic: error: cannot evaluate at "
                              f"q={args.q}, tol={args.tol}: {exc}\n")
-            return 2
-    elif args.command == "dump":
-        code, text = _run_dump(args)
-    else:
-        code, text = _run_report(args)
+            return 2, None
+    if args.command == "dump":
+        return _run_dump(args)
+    return _run_report(args)
+
+
+def _write(out, text: str) -> None:
+    """Write text and a final newline to out."""
     out.write(text)
     if not text.endswith("\n"):
         out.write("\n")
-    return code
 
 
 def _cannot_write(target: str, exc: OSError) -> int:
@@ -259,16 +257,23 @@ def main(argv=None) -> int:
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     if not args.output:
         try:
-            code = _run(args, sys.stdout)
+            code, text = _run(args)
+            if text is not None:
+                _write(sys.stdout, text)
             sys.stdout.flush()  # a reader that went away shows here
             return code
         except OSError as exc:
             _silence(sys.stdout)
             return _cannot_write("stdout", exc)
     try:
-        # opened before any work, so an unwritable path fails at once
-        with open(args.output, "w") as fh:
-            return _run(args, fh)
+        # opened before any work, so an unwritable path fails at once, but
+        # not truncated: a run that exits 2 leaves an existing file as it was
+        open(args.output, "a").close()
+        code, text = _run(args)
+        if text is not None:
+            with open(args.output, "w") as fh:
+                _write(fh, text)
+        return code
     except OSError as exc:
         return _cannot_write(args.output, exc)
 

@@ -40,7 +40,7 @@ class QReport:
 
 
 def compare_series(identity: str, lhs: GradedSeries, rhs: GradedSeries) -> QReport:
-    d = min(lhs.cutoff, rhs.cutoff)
-    diffs = lhs.diff_up_to(rhs, d, limit=MAX_DIFFS)
-    return QReport(identity=identity, cutoff=d, matched=not diffs,
+    """Verdict on two series of one lattice and one cutoff, at that cutoff."""
+    diffs = lhs.diff_up_to(rhs, limit=MAX_DIFFS)
+    return QReport(identity=identity, cutoff=lhs.cutoff, matched=not diffs,
                    first_diffs=diffs, lhs_terms=len(lhs), rhs_terms=len(rhs))

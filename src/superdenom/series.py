@@ -19,13 +19,13 @@ adding the two keys carries no digit and gives the key of the product:
 multiplying by a monomial is one int addition, and the slice index already
 says whether the product survives the truncation.  The digits are
 big-endian, so int order of keys equals lex order of coordinates and the
-canonical order is (degree, key).  Keys depend on B, so series with
-different cutoffs do not share keys: `mul`, `linear_combine`, `restrict`
-and `diff_up_to` first repack the larger-cutoff operand onto the smaller
-base, dropping its degrees above the smaller cutoff.  Coordinate tuples and
-raw exponents appear only where callers see them: the constructor,
-`from_terms`, `monomial`, `coeff`, `slice`, `items_canonical`, `support`
-and the JSON interchange format.
+canonical order is (degree, key).  Keys depend on B, so the rule is one
+lattice, one cutoff: `mul`, `linear_combine` and `diff_up_to` take
+operands of one lattice and one cutoff and raise `LatticeMismatch` or
+`BeyondCutoff` otherwise.  `restrict` is the one place where keys move to a
+new base.  Coordinate tuples and raw exponents appear only where callers
+see them: the constructor, `from_terms`, `coeff`, `slice`,
+`items_canonical`, `support` and the JSON interchange format.
 """
 
 from __future__ import annotations
@@ -213,8 +213,7 @@ class GradedSeries:
     c0*B**(r-1) + ... + c_{r-1}: every stored coordinate lies in
     [0, cutoff], so the packing is exact, and it is big-endian, so key
     order is lex order of coordinates.  Keys are only comparable between
-    series of the same cutoff; see the module docstring for when a series
-    is repacked.
+    series of the same cutoff, so binary operations require one.
     """
 
     __slots__ = ("lattice", "cutoff", "_slices")
@@ -254,19 +253,7 @@ class GradedSeries:
 
     @classmethod
     def one(cls, lattice, cutoff):
-        return cls.monomial(lattice, cutoff, (0,) * lattice.rank)
-
-    @classmethod
-    def monomial(cls, lattice, cutoff, exps, coeff=1):
-        coords, in_cone, deg = cone_coords(lattice, exps)
-        if not in_cone:
-            raise SupportViolation(f"monomial {exps} outside cone")
-        if deg > cutoff:
-            raise SupportViolation(f"monomial {exps} beyond cutoff {cutoff}")
-        slices = _empty(cutoff)
-        if coeff != 0:
-            slices[deg][_pack(coords, cutoff + 1)] = coeff
-        return cls._of(lattice, cutoff, slices)
+        return cls.from_terms(lattice, cutoff, {(0,) * lattice.rank: 1})
 
     @classmethod
     def from_terms(cls, lattice, cutoff, raw_terms):
@@ -338,22 +325,17 @@ class GradedSeries:
                              for row in Kinv])
                 yield from zip(coords, exps, map(sl.__getitem__, keys))
 
-    def diff_up_to(self, other: "GradedSeries", d: int, limit=None):
-        """Monomials of degree <= d where the two series differ.
+    def diff_up_to(self, other: "GradedSeries", limit=None):
+        """Monomials where the two series, of one lattice and one cutoff,
+        differ, at most ``limit`` of them.
 
         Returns [(raw exponents, self coefficient, other coefficient)] in
         canonical order.
         """
-        if self.lattice != other.lattice:
-            raise LatticeMismatch("cannot compare series over different lattices")
-        if d > self.cutoff or d > other.cutoff:
-            raise BeyondCutoff(f"degree {d} beyond truncation")
-        cutoff = min(self.cutoff, other.cutoff)
-        a, b = _repack(self, cutoff), _repack(other, cutoff)
-        base, rank = cutoff + 1, self.lattice.rank
+        _check_same_ring(self, other)
+        base, rank = self.cutoff + 1, self.lattice.rank
         diffs = []
-        for deg in range(d + 1):
-            sa, sb = a[deg], b[deg]
+        for sa, sb in zip(self._slices, other._slices):
             if sa == sb:
                 continue
             for key in sorted(sa.keys() | sb.keys()):
@@ -366,12 +348,19 @@ class GradedSeries:
         return diffs
 
     def restrict(self, m: int) -> "GradedSeries":
-        """The same series truncated at the lower cutoff m."""
+        """The same series truncated at the lower cutoff m, its keys moved
+        to base m + 1: the one place where keys change base."""
         if m > self.cutoff:
             raise BeyondCutoff(f"cannot extend cutoff {self.cutoff} to {m}")
         if m < 0:
             raise ValueError("cutoff must be nonnegative")
-        return GradedSeries._of(self.lattice, m, _repack(self, m))
+        if m == self.cutoff:
+            return self
+        old, new, rank = self.cutoff + 1, m + 1, self.lattice.rank
+        return GradedSeries._of(
+            self.lattice, m,
+            [{_pack(k, new): c for k, c in zip(_unpack(sl, old, rank), sl.values())}
+             for sl in self._slices[:new]])
 
     def __eq__(self, other):
         return (isinstance(other, GradedSeries)
@@ -386,51 +375,41 @@ class GradedSeries:
                 f"terms={len(self)})")
 
 
-def _check_same_lattice(a: GradedSeries, b: GradedSeries):
+def _check_same_ring(a: GradedSeries, b: GradedSeries):
+    """Raise unless a and b have one lattice and one cutoff."""
     if a.lattice != b.lattice:
         raise LatticeMismatch("series over different lattices")
-
-
-def _repack(s: GradedSeries, cutoff: int):
-    """The slices of s up to ``cutoff <= s.cutoff``, keyed in base cutoff + 1.
-
-    Returns s's own slices when the cutoff is unchanged; callers only read
-    the result.
-    """
-    if cutoff == s.cutoff:
-        return s._slices
-    old, new, rank = s.cutoff + 1, cutoff + 1, s.lattice.rank
-    return [{_pack(k, new): c for k, c in zip(_unpack(sl, old, rank), sl.values())}
-            for sl in s._slices[:new]]
+    if a.cutoff != b.cutoff:
+        raise BeyondCutoff(f"series of cutoffs {a.cutoff} and {b.cutoff}; "
+                           f"restrict the higher one first")
 
 
 def linear_combine(pairs) -> GradedSeries:
-    """Exact integer linear combination; cutoff is the min of the inputs."""
+    """Exact integer linear combination of series of one lattice and one
+    cutoff."""
     pairs = list(pairs)
     if not pairs:
         raise ValueError("empty combination")
-    lattice = pairs[0][1].lattice
-    cutoff = min(s.cutoff for _, s in pairs)
-    out = _empty(cutoff)
+    first = pairs[0][1]
+    out = _empty(first.cutoff)
     for scalar, s in pairs:
-        _check_same_lattice(pairs[0][1], s)
+        _check_same_ring(first, s)
         if scalar:
-            _add_shifted(out, _repack(s, cutoff), 0, scalar)
-    return GradedSeries._of(lattice, cutoff, out)
+            _add_shifted(out, s._slices, 0, scalar)
+    return GradedSeries._of(first.lattice, first.cutoff, out)
 
 
 def mul(a: GradedSeries, b: GradedSeries) -> GradedSeries:
-    """Exact product, truncated at min(cutoff_a, cutoff_b)."""
-    _check_same_lattice(a, b)
-    cutoff = min(a.cutoff, b.cutoff)
-    asl, bsl = _repack(a, cutoff), _repack(b, cutoff)
-    out = _empty(cutoff)
-    for da, sa in enumerate(asl):
+    """Exact product of series of one lattice and one cutoff, truncated
+    there."""
+    _check_same_ring(a, b)
+    out = _empty(a.cutoff)
+    for da, sa in enumerate(a._slices):
         if sa:
             dsts = out[da:]
             for ka, ca in sa.items():
-                _add_shifted(dsts, bsl, ka, ca)
-    return GradedSeries._of(a.lattice, cutoff, out)
+                _add_shifted(dsts, b._slices, ka, ca)
+    return GradedSeries._of(a.lattice, a.cutoff, out)
 
 
 def _divide(slices, terms):
@@ -555,7 +534,7 @@ def expand_term(lattice: LatticeSpec, cutoff: int, sign: int, base,
         raise SupportViolation(f"leading monomial {base} outside cone")
     if deg > cutoff:
         return GradedSeries.zero(lattice, cutoff)
-    return apply_binomials(GradedSeries.monomial(lattice, cutoff, base, sign),
+    return apply_binomials(GradedSeries.from_terms(lattice, cutoff, {base: sign}),
                            factors)
 
 

@@ -135,32 +135,25 @@ def intermediate_identity_check(order: int) -> QReport:
     return compare_series("intermediate-eight-power", lhs, rhs)
 
 
-def verify_jacobi(order: int) -> QReport:
-    """Three-way check of r8 plus the sign-twisted companion identity."""
-    t8 = theta_power8(order)
-    formula = jacobi_formula(order)
-    enum = r8_oracle(order)
-    theta_coeffs = [t8.coeff((n,)) for n in range(order + 1)]
-    formula_coeffs = [formula.coeff((n,)) for n in range(order + 1)]
-    twisted_ok = theta_power8(order, -1) == jacobi_formula(order, twist=True)
-    rep = compare_series("jacobi-eight-squares", t8, formula)
-    rep.extra = {
-        "theta_vs_formula": theta_coeffs == formula_coeffs,
-        "theta_vs_enumeration": theta_coeffs == enum,
-        "twisted_identity": twisted_ok,
-    }
-    rep.matched = rep.matched and theta_coeffs == enum and twisted_ok
-    return rep
+def verify_jacobi(order: int) -> dict:
+    """The eight-squares verdict: a row per n <= order, and the Gauss and
+    intermediate identities.
 
-
-def jacobi_table(order: int) -> list[dict]:
-    """Per-n table used by the CLI: enumeration, theta power and divisor formula."""
-    t8 = theta_power8(order)
-    formula = jacobi_formula(order)
+    Row n compares r8(n) by enumeration, from theta^8 and from the divisor
+    formula; it matches only if the sign-twisted companion, theta(-q)^8
+    against the twisted formula, also agrees at q^n.  The Gauss identity
+    is checked to at least order 100.
+    """
     enum = r8_oracle(order)
+    t8, formula = theta_power8(order), jacobi_formula(order)
+    t8_twisted = theta_power8(order, -1)
+    formula_twisted = jacobi_formula(order, twist=True)
     rows = []
     for n in range(order + 1):
         a, b, c = enum[n], t8.coeff((n,)), formula.coeff((n,))
+        twisted_ok = t8_twisted.coeff((n,)) == formula_twisted.coeff((n,))
         rows.append({"n": n, "r8_enum": a, "r8_theta": b, "r8_formula": c,
-                     "match": a == b == c})
-    return rows
+                     "match": a == b == c and twisted_ok})
+    return {"rows": rows, "all_match": all(r["match"] for r in rows),
+            "gauss": gauss_check(max(order, 100)).matched,
+            "intermediate": intermediate_identity_check(order).matched}

@@ -85,13 +85,10 @@ def test_criterion_07_ratio_support():
 
 
 def test_criterion_08_eight_squares():
-    rep = squares.verify_jacobi(64)
+    doc = squares.verify_jacobi(64)
     spot = squares.r8_oracle(4)
-    gauss = squares.gauss_check(100)
-    inter = squares.intermediate_identity_check(64)
-    ok = (rep.matched and all(rep.extra.values())
-          and spot[1:] == [16, 112, 448, 1136]
-          and gauss.matched and inter.matched)
+    ok = (doc["all_match"] and doc["gauss"] and doc["intermediate"]
+          and spot[1:] == [16, 112, 448, 1136])
     _report("eight-squares count three ways to n=64, Gauss to q^100, "
             "intermediate identity to q^64", ok)
 

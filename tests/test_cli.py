@@ -206,6 +206,17 @@ def test_output_file(tmp_path, capsys):
     assert doc["matched"] is True
 
 
+def test_usage_error_leaves_existing_output_file(tmp_path, capsys):
+    # the file is opened before the run but truncated only when there is
+    # text to write
+    target = tmp_path / "out.txt"
+    target.write_text("kept\n")
+    assert main(["analytic", "--q", "1e-12", "--output", str(target)]) == 2
+    assert target.read_text() == "kept\n"
+    assert main(["analytic", "--output", str(target)]) == 0
+    assert target.read_text().startswith("ok: True\n")
+
+
 def test_unwritable_output_is_usage_error(tmp_path, capsys):
     target = tmp_path / "missing-dir" / "report.json"
     code = main(["verify-denom", "--order", "6", "--output", str(target)])

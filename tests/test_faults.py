@@ -15,11 +15,13 @@ is P' over the wrong one, which first differs from 1 at that same degree;
 an sl(2|1) case by the sl(2|1) check.  Each orbit-side case drops ring n
 of an orbit sum, which must be reported at the lowest degree of that ring.
 The Weyl-action cases break `roots.translate` or `roots.reflect`, which
-the closed-form orbit sum does not use.
+the closed-form orbit sum does not use.  The eight-squares case breaks the
+sign-twisted divisor formula, which `jacobi` must flag row by row.
 """
 
 import pytest
 
+from superdenom import cli, squares
 from superdenom import identities as ids
 from superdenom import roots
 from superdenom.series import SeriesError
@@ -133,3 +135,18 @@ def test_reflect_as_identity_is_caught(monkeypatch, fresh_caches):
     rep = ids.verify_finite_identity(24)
     assert not rep.matched
     assert ids.GL3.degree(rep.first_diffs[0][0]) == 0
+
+
+def test_untwisted_companion_formula_is_caught(monkeypatch, capsys):
+    # a twisted branch that returns the plain formula is wrong at every odd
+    # n, where theta(-q)^8 has -r8(n): `jacobi` must exit 1 and flag those
+    # rows, although enumeration, theta^8 and the plain formula agree there
+    formula = squares.jacobi_formula
+    monkeypatch.setattr(squares, "jacobi_formula",
+                        lambda order, twist=False: formula(order))
+    assert cli.main(["jacobi", "--max-n", "8"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:3] == ["n=0: 1 1 1 ok", "n=1: 16 16 16 MISMATCH",
+                         "n=2: 112 112 112 ok"]
+    assert [line.endswith("MISMATCH") for line in lines[:9]] == [
+        n % 2 == 1 for n in range(9)]

@@ -227,7 +227,7 @@ def test_denominator_report_records_mismatch():
     # a perturbed right side must be flagged with the offending monomial
     lhs = ids.build_lhs(6)
     bad = linear_combine([(1, ids.build_rhs(6)),
-                          (1, GradedSeries.monomial(GL, 6, (1, 0, 0, 0), 1))])
+                          (1, GradedSeries.from_terms(GL, 6, {(1, 0, 0, 0): 1}))])
     from superdenom.report import compare_series
     rep = compare_series("perturbed", lhs, bad)
     assert not rep.matched
@@ -328,5 +328,5 @@ def test_ratio_support_builds_no_right_side(monkeypatch):
 def test_ratio_support_flags_bad_builder():
     # dividing something that is not a multiple of the product side by the
     # product side leaves support outside the q^n (y1/y2)^j diagonal
-    y = ids.divide_by_lhs(GradedSeries.monomial(GL, 8, (0, 1, 0, 0)))
+    y = ids.divide_by_lhs(GradedSeries.from_terms(GL, 8, {(0, 1, 0, 0): 1}))
     assert any(e[1] != 0 or e[3] != -e[2] for e in y.support())

@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from superdenom.report import compare_series
 from superdenom.series import (
     BeyondCutoff,
     GradedSeries,
+    LatticeMismatch,
     LatticeSpec,
     NotInvertible,
     MAX_CUTOFF,
@@ -166,7 +168,7 @@ def test_invert_unimodular_matches_fraction_reference_600_cases():
 
 
 def test_monomial_and_coeff():
-    s = GradedSeries.monomial(GL, 10, (1, -1, -1, -1), -3)
+    s = GradedSeries.from_terms(GL, 10, {(1, -1, -1, -1): -3})
     assert s.coeff((1, -1, -1, -1)) == -3
     assert s.coeff((0, 1, 0, 0)) == 0
     assert s.coeff((0, -1, 0, 0)) == 0          # out of cone: exactly zero
@@ -175,10 +177,10 @@ def test_monomial_and_coeff():
 
 
 def test_monomial_outside_cone_rejected():
-    with pytest.raises(SupportViolation):
-        GradedSeries.monomial(GL, 10, (0, 0, -1, 0))
-    with pytest.raises(SupportViolation):
-        GradedSeries.monomial(GL, 3, (1, 0, 0, 0))   # q has degree 4
+    with pytest.raises(SupportViolation, match="outside cone"):
+        GradedSeries.from_terms(GL, 10, {(0, 0, -1, 0): 1})
+    with pytest.raises(SupportViolation, match="beyond cutoff 3"):
+        GradedSeries.from_terms(GL, 3, {(1, 0, 0, 0): 1})   # q has degree 4
 
 
 def test_slice_and_support():
@@ -207,8 +209,8 @@ def test_restrict():
 
 
 def test_linear_combine_cancellation():
-    a = GradedSeries.monomial(QL, 10, (3,), 4)
-    b = GradedSeries.monomial(QL, 10, (3,), 2)
+    a = GradedSeries.from_terms(QL, 10, {(3,): 4})
+    b = GradedSeries.from_terms(QL, 10, {(3,): 2})
     c = linear_combine([(1, a), (-2, b)])
     assert c.is_zero()
 
@@ -221,12 +223,29 @@ def test_mul_small_example():
     assert c == GradedSeries.from_terms(QL, 5, {(0,): 1, (3,): -1})
 
 
-def test_mul_truncates_to_min_cutoff():
-    a = GradedSeries.from_terms(QL, 8, {(0,): 1, (8,): 1})
-    b = GradedSeries.from_terms(QL, 3, {(0,): 1, (3,): 1})
-    c = mul(a, b)
-    assert c.cutoff == 3
-    assert c.coeff((3,)) == 1
+# one lattice, one cutoff: every binary operation refuses operands of two
+# lattices or of two cutoffs, in either order, instead of re-basing keys
+_BINARY_OPS = {
+    "mul": mul,
+    "linear_combine": lambda a, b: linear_combine([(1, a), (2, b)]),
+    "diff_up_to": lambda a, b: a.diff_up_to(b),
+    "compare_series": lambda a, b: compare_series("pair", a, b),
+}
+
+
+@pytest.mark.parametrize("op", _BINARY_OPS)
+@pytest.mark.parametrize("other, error, message", [
+    pytest.param(GradedSeries.one(GL3, 8), LatticeMismatch, "different lattices",
+                 id="GL-vs-GL3"),
+    pytest.param(GradedSeries.from_terms(GL, 3, {(0, 1, 0, 0): 1}), BeyondCutoff,
+                 "cutoffs {} and {}", id="cutoff-8-vs-3"),
+])
+def test_binary_ops_need_one_lattice_and_one_cutoff(op, other, error, message):
+    a = GradedSeries.from_terms(GL, 8, {(0, 0, 0, 0): 1, (1, 0, 0, 0): 1})
+    with pytest.raises(error, match=message.format(8, 3)):
+        _BINARY_OPS[op](a, other)
+    with pytest.raises(error, match=message.format(3, 8)):
+        _BINARY_OPS[op](other, a)
 
 
 def test_invert_geometric():
@@ -380,7 +399,7 @@ def test_ring_sum_stops_at_first_empty_ring():
     # never be reached, and an all-zero ring stops the sum the same way
     QL = q_lattice()
     one, zero = GradedSeries.one(QL, 6), GradedSeries.zero(QL, 6)
-    q = GradedSeries.monomial(QL, 6, (1,))
+    q = GradedSeries.from_terms(QL, 6, {(1,): 1})
     for ring1 in ([], [zero, zero]):
         visited = []
 
@@ -433,44 +452,13 @@ def test_grading_additivity(a, b):
     assert {sum(k) for k in _coord_terms(p)} <= allowed
 
 
-def _series3_at(cutoff):
-    coords = st.tuples(*[st.integers(0, cutoff)] * 3).filter(lambda k: sum(k) <= cutoff)
-    return st.dictionaries(coords, st.integers(-20, 20).filter(bool), max_size=8).map(
-        lambda terms: GradedSeries(GL3, cutoff, terms))
-
-
-mixed_series3 = st.integers(0, 12).flatmap(_series3_at)
-
-
-@settings(max_examples=120, deadline=None)
-@given(mixed_series3, mixed_series3)
-def test_mixed_cutoffs(a, b):
-    # operands of different cutoffs meet on the smaller cutoff's key base;
-    # the oracle works on coordinate tuples
-    m = min(a.cutoff, b.cutoff)
-    ta = {k: c for k, c in _coord_terms(a).items() if sum(k) <= m}
-    tb = {k: c for k, c in _coord_terms(b).items() if sum(k) <= m}
-    assert _coord_terms(a.restrict(m)) == ta
-    prod = {}
-    for ka, ca in ta.items():
-        for kb, cb in tb.items():
-            k = tuple(map(add, ka, kb))
-            if sum(k) <= m:
-                prod[k] = prod.get(k, 0) + ca * cb
-    assert mul(a, b) == GradedSeries(GL3, m, {k: c for k, c in prod.items() if c})
-    comb = {k: 2 * ta.get(k, 0) - 3 * tb.get(k, 0) for k in ta.keys() | tb.keys()}
-    assert linear_combine([(2, a), (-3, b)]) == GradedSeries(
-        GL3, m, {k: c for k, c in comb.items() if c})
-    diffs = [(GL3.to_exps(k), ta.get(k, 0), tb.get(k, 0))
-             for k in sorted(ta.keys() | tb.keys(), key=lambda k: (sum(k), k))
-             if ta.get(k, 0) != tb.get(k, 0)]
-    assert a.diff_up_to(b, m) == diffs
-
-
 @settings(max_examples=80, deadline=None)
 @given(series3, series3, st.integers(0, 10))
 def test_truncation_soundness(a, b, m):
-    # computing at high cutoff then restricting equals computing low
+    # computing at high cutoff then restricting equals computing low; the
+    # re-based keys decode to the coordinates of degree <= m
+    assert _coord_terms(a.restrict(m)) == {k: c for k, c in _coord_terms(a).items()
+                                           if sum(k) <= m}
     assert mul(a, b).restrict(m) == mul(a.restrict(m), b.restrict(m))
     s = linear_combine([(3, a), (-2, b)])
     assert s.restrict(m) == linear_combine([(3, a.restrict(m)), (-2, b.restrict(m))])
@@ -540,6 +528,11 @@ def test_mul_and_linear_combine_match_reference(case, x, y):
         _ref_combine([(y, tb)])
     assert _coord_terms(linear_combine([(x, a), (y, b), (0, a)])) == \
         _ref_combine([(x, ta), (y, tb)])
+    diffs = [(lattice.to_exps(k), ta.get(k, 0), tb.get(k, 0))
+             for k in sorted(ta.keys() | tb.keys(), key=lambda k: (sum(k), k))
+             if ta.get(k, 0) != tb.get(k, 0)]
+    assert a.diff_up_to(b) == diffs
+    assert a.diff_up_to(b, limit=2) == diffs[:2]
 
 
 @settings(max_examples=150, deadline=None)
@@ -612,7 +605,7 @@ def _byte_identity_cases():
     big = 2 ** 64
     return {
         "empty": GradedSeries.zero(GL, 5),
-        "cutoff 0": GradedSeries.monomial(GL, 0, (0, 0, 0, 0), -3),
+        "cutoff 0": GradedSeries.from_terms(GL, 0, {(0, 0, 0, 0): -3}),
         "empty cutoff 0": GradedSeries.zero(QL, 0),
         "rank 1": GradedSeries.from_terms(QL, 9, {(0,): 1, (4,): -2, (9,): 7}),
         "rank 3": GradedSeries.from_terms(SL21, 6, {(0, 0, 0): 1, (1, -1, 0): -5,

@@ -100,20 +100,20 @@ def test_intermediate_identity_to_64():
 
 
 def test_verify_jacobi():
-    rep = squares.verify_jacobi(64)
-    assert rep.matched
-    assert rep.extra == {"theta_vs_formula": True,
-                         "theta_vs_enumeration": True, "twisted_identity": True}
+    doc = squares.verify_jacobi(64)
+    assert doc["all_match"] and doc["gauss"] and doc["intermediate"]
+    # each row's match covers the sign-twisted companion at q^n
+    assert squares.theta_power8(64, -1) == squares.jacobi_formula(64, twist=True)
 
 
 def test_verify_jacobi_enumerates_above_64():
-    rep = squares.verify_jacobi(80)
-    assert rep.matched
-    assert rep.extra["theta_vs_enumeration"] is True
+    doc = squares.verify_jacobi(80)
+    assert doc["all_match"]
+    assert [r["r8_enum"] for r in doc["rows"]] == squares.r8_oracle(80)
 
 
 def test_jacobi_table_rows():
-    rows = squares.jacobi_table(10)
+    rows = squares.verify_jacobi(10)["rows"]
     assert len(rows) == 11
     assert all(r["match"] for r in rows)
     assert rows[1] == {"n": 1, "r8_enum": 16, "r8_theta": 16,
