@@ -10,30 +10,10 @@ from __future__ import annotations
 import io
 import os
 import sys
-from functools import lru_cache
+from types import SimpleNamespace
 
 from . import analytic, identities, squares
 from .series import MAX_CUTOFF, serialize
-
-# after the package modules: loading those before argparse and gettext keeps
-# about 0.2 MB off the peak RSS of a run (CPython 3.11, sources compiled
-# without bytecode)
-import argparse
-
-
-def _order(value: str) -> int:
-    try:
-        n = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"order must be an integer, not {value!r}") from None
-    if n < 0:
-        raise argparse.ArgumentTypeError("order must be nonnegative")
-    if n > MAX_CUTOFF:
-        raise argparse.ArgumentTypeError(
-            f"order {n} is above the ceiling {MAX_CUTOFF}")
-    return n
-
 
 # name: (help, default --order or None, --format choices), in the order
 # the usage line and --help list them
@@ -53,65 +33,6 @@ _COMMANDS = {
     "dump": ("serialize a builder output", 24, ("json",)),
 }
 
-
-def _add_command(sub, name):
-    help_, order_default, formats = _COMMANDS[name]
-    sp = sub.add_parser(name, help=help_)
-    if order_default is not None:
-        sp.add_argument("--order", type=_order, default=order_default,
-                        help=f"degree cutoff, at most {MAX_CUTOFF} "
-                             f"(default {order_default})")
-    sp.add_argument("--format", choices=formats, default=formats[0])
-    sp.add_argument("--output", default=None, help="write to file")
-    if name == "jacobi":
-        sp.add_argument("--max-n", type=_order, default=64)
-    elif name == "analytic":
-        sp.add_argument("--q", type=float, default=0.1)
-        sp.add_argument("--tol", type=float, default=1e-8)
-    elif name == "dump":
-        sp.add_argument("--expr", required=True,
-                        choices=("lhs", "rhs", "prefactor", "orbit-sum",
-                                 "rhat-roots"))
-
-
-def _new_parser():
-    """A top-level parser with no subcommand registered, and its
-    subcommand action."""
-    p = argparse.ArgumentParser(
-        prog="superdenom",
-        description="Exact verification of the gl(2|2) affine denominator "
-                    "identity and its companions.")
-    return p, p.add_subparsers(dest="command", required=True)
-
-
-@lru_cache(maxsize=None)
-def _run_parser():
-    """The parser every run of this process shares, and its subcommand
-    action.  `parse_args` keeps no state between calls."""
-    p, sub = _new_parser()
-    # the usage line printed with the message lists every subcommand
-    p.error = lambda message: build_parser().error(message)
-    return p, sub
-
-
-def build_parser(command=None) -> argparse.ArgumentParser:
-    """The run parser with the subparser of ``command`` registered, or a
-    new parser with every subparser if ``command`` names none.
-
-    A run registers only its own subparser, because it uses one of nine;
-    --help and usage errors list all nine, in the order of `_COMMANDS`.
-    """
-    if command in _COMMANDS:
-        p, sub = _run_parser()
-        if command not in sub.choices:
-            _add_command(sub, command)
-        return p
-    p, sub = _new_parser()
-    for name in _COMMANDS:
-        _add_command(sub, name)
-    return p
-
-
 _VERIFIERS = {
     "verify-denom": identities.verify_denominator,
     "verify-prefactor": identities.verify_prefactor,
@@ -128,6 +49,204 @@ _DUMPERS = {
     "orbit-sum": identities.build_orbit_sum,
     "rhat-roots": identities.lhs_from_roots,
 }
+
+
+def _count(name: str):
+    """The converter of an integer option from 0 to `MAX_CUTOFF`; its
+    errors name the option ``name``."""
+    def convert(value: str) -> int:
+        try:
+            n = int(value)
+        except ValueError:
+            raise ValueError(
+                f"{name} must be an integer, not {value!r}") from None
+        if n < 0:
+            raise ValueError(f"{name} must be nonnegative")
+        if n > MAX_CUTOFF:
+            raise ValueError(f"{name} {n} is above the ceiling {MAX_CUTOFF}")
+        return n
+    return convert
+
+
+def _real(value: str) -> float:
+    try:
+        return float(value)
+    except ValueError:
+        raise ValueError(f"invalid float value: {value!r}") from None
+
+
+def _choice(choices: tuple):
+    def convert(value: str) -> str:
+        if value not in choices:
+            raise ValueError(f"invalid choice: {value!r} (choose from "
+                             f"{', '.join(map(repr, choices))})")
+        return value
+    return convert
+
+
+_REQUIRED = object()  # the default of an option a run must give
+
+
+def _options(command: str) -> dict:
+    """The options of ``command`` after -h/--help, in the order its usage
+    and --help list them: option -> (attribute, metavar, default,
+    converter, help)."""
+    _, order_default, formats = _COMMANDS[command]
+    opts = {}
+    if order_default is not None:
+        opts["--order"] = ("order", "ORDER", order_default, _count("order"),
+                           f"degree cutoff, at most {MAX_CUTOFF}")
+    opts["--format"] = ("format", "{%s}" % ",".join(formats), formats[0],
+                        _choice(formats), "output format")
+    opts["--output"] = ("output", "OUTPUT", None, str,
+                        "write to file instead of stdout")
+    if command == "jacobi":
+        opts["--max-n"] = ("max_n", "MAX_N", 64, _count("max-n"),
+                           f"last n of the table, at most {MAX_CUTOFF}")
+    elif command == "analytic":
+        opts["--q"] = ("q", "Q", 0.1, _real, "the nome, in (0, 1)")
+        opts["--tol"] = ("tol", "TOL", 1e-8, _real,
+                         "tolerance of every float check")
+    elif command == "dump":
+        opts["--expr"] = ("expr", "EXPR", _REQUIRED, _choice(tuple(_DUMPERS)),
+                          f"the builder to serialize: {', '.join(_DUMPERS)}")
+    return opts
+
+
+def _usage(command: str | None) -> str:
+    if command is None:
+        return f"superdenom [-h] {{{','.join(_COMMANDS)}}} ..."
+    words = [f"superdenom {command} [-h]"]
+    for opt, (_, metavar, default, _, _) in _options(command).items():
+        words.append(f"{opt} {metavar}" if default is _REQUIRED
+                     else f"[{opt} {metavar}]")
+    return " ".join(words)
+
+
+def _help_lines(rows) -> list[str]:
+    """Two-column rows: names padded to one width, then their help."""
+    width = max(len(name) for name, _ in rows) + 2
+    return [f"  {name:<{width}}{text}" for name, text in rows]
+
+
+def _help(command: str | None) -> str:
+    """The --help text of ``command``, or of the program if None."""
+    options = [("-h, --help", "show this help message and exit")]
+    if command is None:
+        return "\n".join([
+            f"usage: {_usage(None)}", "",
+            "Exact verification of the gl(2|2) affine denominator identity "
+            "and its companions.", "", "commands:",
+            *_help_lines([(name, spec[0]) for name, spec in _COMMANDS.items()]),
+            "", "options:", *_help_lines(options), "",
+            "Run `superdenom COMMAND --help` for the options of a command.",
+            ""])
+    for opt, (_, metavar, default, _, help_) in _options(command).items():
+        if default is _REQUIRED:
+            help_ += " (required)"
+        elif default is not None:
+            help_ += f" (default {default})"
+        options.append((f"{opt} {metavar}", help_))
+    return "\n".join([f"usage: {_usage(command)}", "", _COMMANDS[command][0],
+                      "", "options:", *_help_lines(options), ""])
+
+
+def _fail(command: str | None, message: str):
+    """Report a usage error of ``command`` (None: of the program) on
+    stderr and exit with status 2."""
+    prog = "superdenom" if command is None else f"superdenom {command}"
+    sys.stderr.write(f"usage: {_usage(command)}\n{prog}: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _is_value(token: str) -> bool:
+    """Whether a token that names no option is read as a value rather than
+    as an unknown option: it does not start with "-", is "-" alone, is a
+    negative number, or holds a space."""
+    if not token.startswith("-") or token == "-" or " " in token:
+        return True
+    whole, dot, fraction = token[1:].partition(".")
+    return ((whole.isdecimal() and not dot)
+            or (dot and (whole == "" or whole.isdecimal())
+                and fraction.isdecimal()))
+
+
+def _match(command: str | None, names, token: str):
+    """The option that ``token`` names, exactly or by a unique prefix of a
+    long option, and its "=" value or None; (None, None) if it names no
+    option."""
+    name, eq, value = token.partition("=")
+    hits = [name] if name in names else [
+        n for n in names if name.startswith("--") and n.startswith(name)]
+    if len(hits) > 1:
+        _fail(command, f"ambiguous option: {token} could match "
+                       f"{', '.join(hits)}")
+    return (hits[0], value if eq else None) if hits else (None, None)
+
+
+def parse_args(argv) -> SimpleNamespace:
+    """Parse ``argv`` (without the program name) against `_COMMANDS`.
+
+    Options take their value as ``--opt value`` or ``--opt=value``, may be
+    shortened to a unique prefix, and the last of a repeated option wins.
+    -h/--help prints help to stdout and exits 0; a usage error prints a
+    usage line and an error line to stderr and exits 2.  Every attribute
+    that `_run` reads is set, None where the command has no such option.
+    """
+    args = SimpleNamespace(command=None, order=None, format=None, output=None,
+                           max_n=None, q=None, tol=None, expr=None)
+    command, opts, extras = None, {}, []
+    names = ("-h", "--help")
+    tokens = iter(argv)
+    for token in tokens:
+        if token == "--":
+            # everything after it is positional, and no command takes one
+            extras += [token, *tokens]
+            break
+        opt, value = _match(command, names, token)
+        if opt is None:
+            if command is not None or not _is_value(token):
+                extras.append(token)  # a positional argument or unknown option
+                continue
+            if token not in _COMMANDS:
+                _fail(None, f"argument command: invalid choice: {token!r} "
+                            f"(choose from {', '.join(map(repr, _COMMANDS))})")
+            command, opts = token, _options(token)
+            names = ("-h", "--help", *opts)
+            args.command = command
+            for attribute, _, default, _, _ in opts.values():
+                if default is not _REQUIRED:
+                    setattr(args, attribute, default)
+            continue
+        if opt in ("-h", "--help"):
+            if value is not None:
+                _fail(command, f"argument -h/--help: ignored explicit "
+                               f"argument {value!r}")
+            try:
+                sys.stdout.write(_help(command))
+                sys.stdout.flush()
+            except OSError:  # the reader went away: it wants no help
+                _silence(sys.stdout)
+            raise SystemExit(0)
+        attribute, _, _, convert, _ = opts[opt]
+        if value is None:
+            value = next(tokens, None)
+            if value is None or not _is_value(value):
+                _fail(command, f"argument {opt}: expected one argument")
+        try:
+            setattr(args, attribute, convert(value))
+        except ValueError as exc:
+            _fail(command, f"argument {opt}: {exc}")
+    if command is None:
+        _fail(None, "the following arguments are required: command")
+    missing = [opt for opt, (attribute, _, default, _, _) in opts.items()
+               if default is _REQUIRED and getattr(args, attribute) is None]
+    if missing:
+        _fail(command, f"the following arguments are required: "
+                       f"{', '.join(missing)}")
+    if extras:
+        _fail(command, f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def _json_text(doc: dict) -> str:
@@ -252,9 +371,7 @@ def _silence(stream) -> None:
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     if not args.output:
         try:
             code, text = _run(args)

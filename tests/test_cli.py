@@ -11,7 +11,7 @@ import sys
 import pytest
 
 from superdenom import cli
-from superdenom.cli import build_parser, main
+from superdenom.cli import main, parse_args
 from superdenom.series import MAX_CUTOFF
 
 
@@ -50,18 +50,19 @@ def test_negative_order_rejected(capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("argv, value", [
-    (["verify-denom", "--order", "abc"], "abc"),
-    (["dump", "--expr", "lhs", "--order", "abc"], "abc"),
-    (["jacobi", "--max-n", "x"], "x"),
+@pytest.mark.parametrize("argv, option, value", [
+    (["verify-denom", "--order", "abc"], "order", "abc"),
+    (["dump", "--expr", "lhs", "--order", "abc"], "order", "abc"),
+    (["jacobi", "--max-n", "x"], "max-n", "x"),
 ], ids=["verify-denom", "dump", "jacobi"])
-def test_non_integer_order_rejected(capsys, argv, value):
+def test_non_integer_order_rejected(capsys, argv, option, value):
+    # the message names the option that was given
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert f"order must be an integer, not {value!r}" in err
-    assert "_order" not in err
+    err = capsys.readouterr().err.splitlines()
+    assert err[1] == (f"superdenom {argv[0]}: error: argument --{option}: "
+                      f"{option} must be an integer, not {value!r}")
 
 
 @pytest.mark.parametrize("argv", [
@@ -76,8 +77,9 @@ def test_order_above_ceiling_rejected(capsys, argv):
 
 
 def test_order_at_ceiling_accepted():
-    assert build_parser().parse_args(
+    assert parse_args(
         ["ratio-support", "--order", str(MAX_CUTOFF)]).order == MAX_CUTOFF
+    assert parse_args(["jacobi", "--max-n", str(MAX_CUTOFF)]).max_n == MAX_CUTOFF
 
 
 def test_unknown_command_rejected(capsys):
@@ -271,99 +273,119 @@ def test_closed_stdout_is_usage_error(argv, same_pipe):
     assert lines[0].startswith("superdenom: error: cannot write stdout: ")
 
 
-def test_parser_defaults():
-    p = build_parser()
-    args = p.parse_args(["verify-denom"])
-    assert args.order == 24
-    args = p.parse_args(["verify-prefactor"])
-    assert args.order == 40
-    args = p.parse_args(["verify-sl21"])
-    assert args.order == 18
-    args = p.parse_args(["jacobi"])
-    assert args.max_n == 64
-
-
-def test_run_parser_is_shared_and_full_parser_is_new():
-    cli._run_parser.cache_clear()
+@pytest.mark.parametrize("unbuffered", [False, True],
+                         ids=["buffered", "unbuffered"])
+def test_help_to_a_closed_stdout_exits_zero(unbuffered):
+    # as argparse did, a reader that went away before the help was written
+    # is no error, and no traceback is printed
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
     try:
-        assert build_parser("jacobi") is build_parser("verify-denom")
-        assert list(cli._run_parser()[1].choices) == ["jacobi", "verify-denom"]
-        full = build_parser()
-        assert full is not build_parser()
-        assert full is not build_parser("jacobi")
-        assert "{%s}" % ",".join(cli._COMMANDS) in full.format_usage()
-        assert list(cli._run_parser()[1].choices) == ["jacobi", "verify-denom"]
+        proc = subprocess.run([sys.executable, "-m", "superdenom.cli", "--help"],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              text=True, env=env)
     finally:
-        cli._run_parser.cache_clear()
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
-# Runs main() with argv=None, as the console script does, so main reads the
-# command from sys.argv; a first argument of "full" parses sys.argv with
-# the full parser instead.  The last line printed is the exit code and the
-# subcommands the run parser holds.
-MAIN_PROBE = """
-import sys
-from superdenom import cli
-run = cli.build_parser().parse_args if sys.argv.pop(1) == "full" else cli.main
-try:
-    code = run()
-except SystemExit as exc:
-    code = exc.code
-sys.stdout.write("\\n%r %r" % (code, list(cli._run_parser()[1].choices)))
-"""
+def test_parser_defaults():
+    # every attribute a run reads is set, None where the command lacks it
+    assert vars(parse_args(["verify-denom"])) == {
+        "command": "verify-denom", "order": 24, "format": "text",
+        "output": None, "max_n": None, "q": None, "tol": None, "expr": None}
+    assert parse_args(["verify-prefactor"]).order == 40
+    assert parse_args(["verify-sl21"]).order == 18
+    assert vars(parse_args(["jacobi"])) == {
+        "command": "jacobi", "order": None, "format": "text", "output": None,
+        "max_n": 64, "q": None, "tol": None, "expr": None}
+    args = parse_args(["analytic"])
+    assert (args.q, args.tol) == (0.1, 1e-8)
+    args = parse_args(["dump", "--expr", "lhs"])
+    assert (args.order, args.format, args.expr) == (24, "json", "lhs")
 
 
-def run_main(mode, *argv):
-    proc = subprocess.run(
-        [sys.executable, "-c", MAIN_PROBE, mode, *argv],
-        capture_output=True, text=True)
-    out, _, tail = proc.stdout.rpartition("\n")
-    code, registered = tail.split(" ", 1)
-    return (int(code), out, proc.stderr), ast.literal_eval(registered)
+VERIFY_DENOM_8 = "verify-denom --order 8"
 
 
-@pytest.mark.parametrize("argv", [
-    ["--help"], ["verify-denom", "--help"], ["frobnicate"], [],
-    ["verify-denom", "--bogus"], ["verify-denom", "extra"],
-    ["verify-denom", "--order", "-1"], ["verify-denom", "--format", "csv"],
-    ["dump"], ["jacobi", "--max-n", "999"],
-], ids=lambda argv: " ".join(argv) or "no-argument")
-def test_on_demand_subparsers_print_what_the_full_parser_prints(argv):
-    on_demand, registered = run_main("run", *argv)
-    full, untouched = run_main("full", *argv)
-    assert on_demand == full
-    assert registered == (argv[:1] if argv and argv[0] in cli._COMMANDS else [])
-    assert untouched == []
-    assert on_demand[0] in (0, 2)
-    assert "Traceback" not in on_demand[2]
+# argv, exit status, and the stdout of a valid run (as the argv of a run
+# that prints the same) or the end of the error line of a usage error
+ARGV_CASES = [
+    (["--help"], 0, None),
+    (["verify-denom", "--help"], 0, None),
+    (["frobnicate"], 2, "argument command: invalid choice: 'frobnicate' "
+                        "(choose from 'verify-denom', "),
+    ([], 2, "the following arguments are required: command"),
+    (["verify-denom", "--bogus"], 2, "unrecognized arguments: --bogus"),
+    (["verify-denom", "extra"], 2, "unrecognized arguments: extra"),
+    (["verify-denom", "--order", "-1"], 2,
+     "argument --order: order must be nonnegative"),
+    (["verify-denom", "--format", "csv"], 2,
+     "argument --format: invalid choice: 'csv' (choose from 'text', 'json')"),
+    (["dump"], 2, "the following arguments are required: --expr"),
+    (["jacobi", "--max-n", "999"], 2,
+     f"argument --max-n: max-n 999 is above the ceiling {MAX_CUTOFF}"),
+    (["verify-denom", "--order=8"], 0, VERIFY_DENOM_8),
+    (["verify-denom", "--ord", "8"], 0, VERIFY_DENOM_8),
+    (["verify-denom", "--o", "8"], 2,
+     "ambiguous option: --o could match --order, --output"),
+    (["verify-denom", "--order"], 2, "argument --order: expected one argument"),
+    (["verify-denom", "--order", "4", "--order", "8"], 0, VERIFY_DENOM_8),
+]
 
 
-def test_a_run_registers_only_its_subparser():
-    (code, out, err), registered = run_main("run", "ratio-support", "--order", "4")
-    assert (code, err) == (0, "")
-    assert out.startswith("ratio-support: MATCHED")
-    assert registered == ["ratio-support"]
+@pytest.mark.parametrize("argv, code, expected", ARGV_CASES,
+                         ids=[" ".join(argv) or "no-argument"
+                              for argv, _, _ in ARGV_CASES])
+def test_argv_contract(capsys, argv, code, expected):
+    # help and a valid run exit 0 with nothing on stderr; a usage error
+    # exits 2 with a usage line and one error line on stderr, nothing on
+    # stdout, and no traceback
+    try:
+        status = main(argv)
+    except SystemExit as exc:
+        status = exc.code
+    out, err = capsys.readouterr()
+    assert status == code
+    assert "Traceback" not in err
+    if code == 0:
+        assert err == ""
+        if expected is None:
+            assert out.startswith("usage: superdenom ")
+            if argv[0] == "verify-denom":  # its options and their defaults
+                assert "--order ORDER " in out and "(default 24)" in out
+                assert "--format {text,json} " in out and "--output " in out
+        else:
+            assert main(expected.split()) == 0
+            assert out == capsys.readouterr().out
+        return
+    assert out == ""
+    usage, error = err.splitlines()
+    prog = " ".join(["superdenom", *argv[:1]]) \
+        if argv and argv[0] in cli._COMMANDS else "superdenom"
+    assert usage.startswith(f"usage: {prog} [-h] ")
+    assert error.startswith(f"{prog}: error: ")
+    assert expected in error
 
 
 def test_help_after_a_run_lists_every_subcommand_in_order(capsys):
-    # a run leaves only its own subparser in the run parser; --help after
-    # it prints what a fresh process prints, with all nine subcommands
-    cli._run_parser.cache_clear()
-    try:
-        assert main(["ratio-support", "--order", "4"]) == 0
-        capsys.readouterr()
-        with pytest.raises(SystemExit):
-            main(["--help"])
-        after_run = capsys.readouterr().out
-        assert list(cli._run_parser()[1].choices) == ["ratio-support"]
-        assert "{%s}" % ",".join(cli._COMMANDS) in after_run
-        assert after_run == build_parser().format_help()
-        cli._run_parser.cache_clear()
-        with pytest.raises(SystemExit):
-            main(["--help"])
-        assert capsys.readouterr().out == after_run
-    finally:
-        cli._run_parser.cache_clear()
+    # --help after a run in this process prints what a fresh process
+    # prints, with all nine subcommands in the order of `_COMMANDS`
+    assert main(["ratio-support", "--order", "4"]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    after_run = capsys.readouterr().out
+    listed = after_run.split("commands:\n")[1].split("\n\n")[0].splitlines()
+    assert [line.split()[0] for line in listed] == list(cli._COMMANDS)
+    assert "{%s}" % ",".join(cli._COMMANDS) in after_run
+    fresh = subprocess.run([sys.executable, "-m", "superdenom.cli", "--help"],
+                           capture_output=True, text=True)
+    assert (fresh.returncode, fresh.stdout, fresh.stderr) == (0, after_run, "")
 
 
 @pytest.mark.parametrize("first, second", [
@@ -371,10 +393,9 @@ def test_help_after_a_run_lists_every_subcommand_in_order(capsys):
     (["verify-finite", "--order", "4", "--format", "json"], ["verify-finite"]),
 ])
 def test_no_flag_leaks_between_calls(capsys, first, second):
+    fresh_code, fresh = run(capsys, *second)
     run(capsys, *first)
     code, out = run(capsys, *second)
-    cli._run_parser.cache_clear()
-    fresh_code, fresh = run(capsys, *second)
     assert (code, out) == (fresh_code, fresh)
     assert code == 0
     if second == ["jacobi"]:
@@ -389,7 +410,8 @@ def test_no_flag_leaks_between_calls(capsys, first, second):
 
 # Stdlib modules that no verdict path uses: neither `import superdenom.cli`
 # nor a text-format run of the commands may load any of them.
-DEFERRED = ("dataclasses", "inspect", "fractions", "decimal", "json", "csv")
+DEFERRED = ("dataclasses", "inspect", "fractions", "decimal", "json", "csv",
+            "argparse", "gettext", "locale")
 
 IMPORT_GRAPH_PROBE = """
 import sys
