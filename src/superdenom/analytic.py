@@ -13,14 +13,17 @@ import cmath
 import math
 import sys
 
-from .series import GradedSeries
-
 _MAX_FACTORS = 100000
 TAIL_EPS = 1e-16
 
 # Evaluation points: radii 0.7 and 1.2 at the eight odd multiples of pi/8.
 SAMPLES = tuple(r * cmath.exp(1j * math.pi * (2 * k + 1) / 8)
                 for r in (0.7, 1.2) for k in range(8))
+
+# The point where `check_limits` evaluates, on purpose, near the pole y^2 = 1
+# of B: 2e-4 from it, relative to 1.  The pole guard refuses any point
+# closer to the pole set than half that, whatever the tolerance.
+LIMIT_Y = 1 + 1e-4
 
 
 class ConvergenceError(Exception):
@@ -69,7 +72,7 @@ def pole_distance(cfg: EvalConfig, y: complex) -> float:
 
 
 def _check_pole(cfg: EvalConfig, y: complex):
-    if pole_distance(cfg, y) < math.sqrt(cfg.tol):
+    if pole_distance(cfg, y) < (LIMIT_Y ** 2 - 1) / 2:
         raise PoleProximity(f"{y} within guard distance of the pole set")
 
 
@@ -183,8 +186,9 @@ def check_b_zeros(cfg: EvalConfig) -> dict:
 
 
 def check_limits(cfg: EvalConfig) -> dict:
-    """(y-1)^{-2} A/R -> 2 and (1-y)^2 B -> 1/2, both within 1e-3 at y = 1 + 1e-4."""
-    y = 1 + 1e-4
+    """(y-1)^{-2} A/R -> 2 and (1-y)^2 B -> 1/2, both within 1e-3 at y =
+    LIMIT_Y = 1 + 1e-4."""
+    y = LIMIT_Y
     lim_ar = eval_A_over_Rhat(cfg, y) / (y - 1) ** 2
     lim_b = (1 - y) ** 2 * eval_B(cfg, y)
     dev_ar = abs(lim_ar - 2)
@@ -231,18 +235,6 @@ def check_an_limits(cfg: EvalConfig) -> dict:
         worst = max(worst, dev)
         results[n] = {"estimate": est, "target": target, "dev": dev}
     return {"per_n": results, "max_dev": worst, "ok": worst < 1e-6}
-
-
-def eval_series(s: GradedSeries, values) -> complex:
-    """Evaluate an exact series at numeric variable values (raw exponents)."""
-    total = 0j
-    for _, exps, c in s.items_canonical():
-        v = complex(c)
-        for val, e in zip(values, exps):
-            if e:
-                v *= val ** e
-        total += v
-    return total
 
 
 def run_suite(cfg: EvalConfig) -> dict:

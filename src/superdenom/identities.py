@@ -189,7 +189,12 @@ def _divide_by(s: GradedSeries, families) -> GradedSeries:
 
 
 def divide_by_lhs(s: GradedSeries) -> GradedSeries:
-    """Exact division by the product side: `build_lhs` retraced backwards."""
+    """Exact division by the product side: `build_lhs` retraced backwards.
+
+    No run path calls it since the ratio check divides by P'.  It stays only
+    because perfbench/spans.py traces it by name, and goes with the next
+    change to the benchmark.
+    """
     return _divide_by(s, _SCHEDULE)
 
 

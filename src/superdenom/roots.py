@@ -9,10 +9,8 @@ them.
 
 Weights have coordinates in 1/2 Z and are stored in half units, so the
 group action is exact int arithmetic; a result outside (1/2 Z)^6 raises
-RootError.  The constants below are built from half units directly.
-`fractions` is imported only inside the three edges where rationals enter
-or leave: `Weight.of`, a non-int scalar in `Weight.__rmul__`, and the value
-`inner` returns.  The orbit sums and `weight_to_exp` never reach them.
+RootError.  The constants below are built from half units directly, and a
+weight is scaled only by ints.
 """
 
 from __future__ import annotations
@@ -22,16 +20,6 @@ from .series import GradedSeries, LatticeSpec, expand_term, ring_sum
 
 class RootError(Exception):
     pass
-
-
-def _half_units(x) -> int:
-    """A coordinate x in half units, a Fraction, as an int.
-
-    ValueError if x is not whole, i.e. the coordinate lies outside 1/2 Z.
-    """
-    if x.denominator != 1:
-        raise ValueError(f"coordinate {x / 2} outside 1/2 Z")
-    return x.numerator
 
 
 class Weight:
@@ -57,15 +45,6 @@ class Weight:
     def __repr__(self):
         return f"Weight(halves={self.halves!r})"
 
-    @staticmethod
-    def of(*vals) -> "Weight":
-        """The weight with coordinates vals, exact rationals in 1/2 Z."""
-        from fractions import Fraction
-
-        if len(vals) != 6:
-            raise ValueError("weights have six coordinates")
-        return Weight(tuple(_half_units(2 * Fraction(v)) for v in vals))
-
     def __add__(self, other: "Weight") -> "Weight":
         return Weight(tuple(a + b for a, b in zip(self.halves, other.halves)))
 
@@ -75,13 +54,10 @@ class Weight:
     def __neg__(self) -> "Weight":
         return Weight(tuple(-a for a in self.halves))
 
-    def __rmul__(self, scalar) -> "Weight":
-        if isinstance(scalar, int):
-            return Weight(tuple(scalar * a for a in self.halves))
-        from fractions import Fraction
-
-        scalar = Fraction(scalar)
-        return Weight(tuple(_half_units(scalar * a) for a in self.halves))
+    def __rmul__(self, scalar: int) -> "Weight":
+        if not isinstance(scalar, int):
+            return NotImplemented
+        return Weight(tuple(scalar * a for a in self.halves))
 
 
 EPS1 = Weight((2, 0, 0, 0, 0, 0))
@@ -109,13 +85,6 @@ def _exact(num: int, den: int) -> int:
     if r:
         raise RootError(f"{num}/{den} is not an integer: the result leaves (1/2 Z)^6")
     return q
-
-
-def inner(a: Weight, b: Weight):
-    """The form (a, b), as an exact Fraction."""
-    from fractions import Fraction
-
-    return Fraction(_form4(a.halves, b.halves), 4)
 
 
 def reflect(nu: Weight, lam: Weight) -> Weight:
@@ -188,13 +157,6 @@ T_ALPHA = WeylElement(p=1)
 T_GAMMA = WeylElement(pp=1)
 
 
-def compose(w1: WeylElement, w2: WeylElement) -> WeylElement:
-    # s t_p s = t_{-p} within each infinite dihedral factor
-    p = w1.p + (-w2.p if w1.eps else w2.p)
-    pp = w1.pp + (-w2.pp if w1.epsp else w2.pp)
-    return WeylElement(p, (w1.eps + w2.eps) % 2, pp, (w1.epsp + w2.epsp) % 2)
-
-
 class OrbitTerm:
     """sign * e^top * prod(1 - e^{-nu}) / prod(1 + e^{-mu}) over the
     weights nu of ``nums`` and mu of ``dens``.  Immutable by convention."""
@@ -241,15 +203,6 @@ def weight_to_exp(lam: Weight, affine: bool = True):
             raise RootError(f"{lam} has a delta component in the finite case")
         return (-a // 2, -b1 // 2, -b2 // 2)
     return (-n // 2, -a // 2, -b1 // 2, -b2 // 2)
-
-
-def exp_to_weight(exps, affine: bool = True) -> Weight:
-    if affine:
-        n, a, b1, b2 = exps
-    else:
-        a, b1, b2 = exps
-        n = 0
-    return -(n * DELTA + a * ALPHA + b1 * BETA1 + b2 * BETA2)
 
 
 def expand_orbit_term(term: OrbitTerm, lattice: LatticeSpec,

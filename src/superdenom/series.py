@@ -22,10 +22,10 @@ big-endian, so int order of keys equals lex order of coordinates and the
 canonical order is (degree, key).  Keys depend on B, so the rule is one
 lattice, one cutoff: `mul`, `linear_combine` and `diff_up_to` take
 operands of one lattice and one cutoff and raise `LatticeMismatch` or
-`BeyondCutoff` otherwise.  `restrict` is the one place where keys move to a
-new base.  Coordinate tuples and raw exponents appear only where callers
-see them: the constructor, `from_terms`, `coeff`, `slice`,
-`items_canonical`, `support` and the JSON interchange format.
+`BeyondCutoff` otherwise, and no function moves keys to a new base.
+Coordinate tuples and raw exponents appear only where callers see them:
+`from_terms`, the one checked constructor, `coeff`, `items_canonical`,
+`support`, `diff_up_to` and the JSON interchange format.
 """
 
 from __future__ import annotations
@@ -46,10 +46,6 @@ class SeriesError(Exception):
 
 
 class LatticeMismatch(SeriesError):
-    pass
-
-
-class NotInvertible(SeriesError):
     pass
 
 
@@ -218,24 +214,6 @@ class GradedSeries:
 
     __slots__ = ("lattice", "cutoff", "_slices")
 
-    def __init__(self, lattice: LatticeSpec, cutoff: int, terms=None):
-        """Build from a {cone coordinates: nonzero int coefficient} mapping."""
-        if cutoff < 0:
-            raise ValueError("cutoff must be nonnegative")
-        slices = _empty(cutoff)
-        for k, c in (terms or {}).items():
-            if (len(k) != lattice.rank
-                    or any(not isinstance(x, int) or x < 0 for x in k)):
-                raise SupportViolation(f"coordinates {k} outside cone")
-            if sum(k) > cutoff:
-                raise SupportViolation(f"coordinates {k} beyond cutoff {cutoff}")
-            if not isinstance(c, int) or c == 0:
-                raise ValueError(f"bad coefficient {c!r}")
-            slices[sum(k)][_pack(k, cutoff + 1)] = c
-        self.lattice = lattice
-        self.cutoff = cutoff
-        self._slices = slices
-
     @classmethod
     def _of(cls, lattice, cutoff, slices):
         """Wrap per-degree dicts of packed keys without checking them."""
@@ -257,11 +235,18 @@ class GradedSeries:
 
     @classmethod
     def from_terms(cls, lattice, cutoff, raw_terms):
-        """Build from a {raw exponents: coefficient} mapping."""
+        """Build from a {raw exponents: int coefficient} mapping, skipping
+        zero coefficients; the one constructor that checks its terms."""
+        if cutoff < 0:
+            raise ValueError("cutoff must be nonnegative")
         slices = _empty(cutoff)
         for exps, c in raw_terms.items():
+            if not isinstance(c, int):
+                raise ValueError(f"bad coefficient {c!r}")
             if c == 0:
                 continue
+            if not all(isinstance(x, int) for x in exps):
+                raise SupportViolation(f"monomial {exps} has a non-int exponent")
             coords, in_cone, deg = cone_coords(lattice, exps)
             if not in_cone:
                 raise SupportViolation(f"monomial {exps} outside cone")
@@ -275,10 +260,6 @@ class GradedSeries:
 
     def __len__(self):
         return sum(map(len, self._slices))
-
-    @property
-    def constant_term(self) -> int:
-        return self._slices[0].get(0, 0)
 
     def is_zero(self) -> bool:
         return not any(self._slices)
@@ -295,16 +276,6 @@ class GradedSeries:
         if deg > self.cutoff:
             raise BeyondCutoff(f"degree {deg} beyond truncation {self.cutoff}")
         return self._slices[deg].get(_pack(coords, self.cutoff + 1), 0)
-
-    def slice(self, d: int):
-        """All monomials of degree exactly d, as {raw exponents: coefficient}."""
-        if d > self.cutoff:
-            raise BeyondCutoff(f"degree {d} beyond truncation {self.cutoff}")
-        if d < 0:
-            return {}
-        base, rank, to_exps = self.cutoff + 1, self.lattice.rank, self.lattice.to_exps
-        sl = self._slices[d]
-        return {to_exps(k): c for k, c in zip(_unpack(sl, base, rank), sl.values())}
 
     def support(self):
         """Raw exponents of all stored monomials, canonically ordered."""
@@ -347,21 +318,6 @@ class GradedSeries:
                         return diffs
         return diffs
 
-    def restrict(self, m: int) -> "GradedSeries":
-        """The same series truncated at the lower cutoff m, its keys moved
-        to base m + 1: the one place where keys change base."""
-        if m > self.cutoff:
-            raise BeyondCutoff(f"cannot extend cutoff {self.cutoff} to {m}")
-        if m < 0:
-            raise ValueError("cutoff must be nonnegative")
-        if m == self.cutoff:
-            return self
-        old, new, rank = self.cutoff + 1, m + 1, self.lattice.rank
-        return GradedSeries._of(
-            self.lattice, m,
-            [{_pack(k, new): c for k, c in zip(_unpack(sl, old, rank), sl.values())}
-             for sl in self._slices[:new]])
-
     def __eq__(self, other):
         return (isinstance(other, GradedSeries)
                 and self.lattice == other.lattice
@@ -380,8 +336,7 @@ def _check_same_ring(a: GradedSeries, b: GradedSeries):
     if a.lattice != b.lattice:
         raise LatticeMismatch("series over different lattices")
     if a.cutoff != b.cutoff:
-        raise BeyondCutoff(f"series of cutoffs {a.cutoff} and {b.cutoff}; "
-                           f"restrict the higher one first")
+        raise BeyondCutoff(f"series of cutoffs {a.cutoff} and {b.cutoff}")
 
 
 def linear_combine(pairs) -> GradedSeries:
@@ -412,49 +367,6 @@ def mul(a: GradedSeries, b: GradedSeries) -> GradedSeries:
     return GradedSeries._of(a.lattice, a.cutoff, out)
 
 
-def _divide(slices, terms):
-    """slices /= 1 + sum(c * t) in place, over terms (degree > 0, key, c) of
-    t sorted by degree.
-
-    Walks the degrees from low to high: the quotient's slice d is slice d
-    of the dividend minus c * t times the finished quotient slice
-    d - degree(t), for every term.  With one term that is one kernel call
-    over ``slices[dm:]`` and ``slices``: each source is read after the
-    earlier pair of the same call has finished it.  With more terms (only
-    `invert`), slice d must take every term before it is read, so each
-    call covers one slice.
-    """
-    if len(terms) == 1:
-        (dm, m, c), = terms
-        _add_shifted(slices[dm:], slices, m, -c)
-        return
-    for d in range(terms[0][0], len(slices)):
-        dst = (slices[d],)
-        for dm, m, c in terms:
-            if dm > d:
-                break
-            _add_shifted(dst, (slices[d - dm],), m, -c)
-
-
-def invert(s: GradedSeries) -> GradedSeries:
-    """Multiplicative inverse up to the cutoff: c0 divided by c0 * s.
-
-    Requires constant term c0 = +-1; this is exactly invertibility in the
-    cone-supported integer ring.
-    """
-    c0 = s.constant_term
-    if c0 not in (1, -1):
-        raise NotInvertible(
-            f"constant term {c0} is not a unit in the cone-supported ring")
-    slices = _empty(s.cutoff)
-    slices[0][0] = c0
-    terms = [(d, k, c0 * c) for d, sl in enumerate(s._slices) if d
-             for k, c in sl.items()]
-    if terms:
-        _divide(slices, terms)
-    return GradedSeries._of(s.lattice, s.cutoff, slices)
-
-
 def _monomial_key(s: GradedSeries, exps):
     """(degree, packed key) of the monomial of raw exponents exps, which
     must lie in the cone with positive degree."""
@@ -473,12 +385,14 @@ def _apply(s: GradedSeries, factors) -> GradedSeries:
     passes run in place on one copy of its slices, one kernel call each.  A
     multiplication pairs slice d + dm with slice d from the top degree down,
     so every slice is read before it receives the contributions of lower
-    degrees; a division is the one-term case of `_divide`.
+    degrees.  A division walks the degrees from low to high: quotient slice
+    d is slice d minus sign * t times the finished quotient slice d - dm,
+    which the same call wrote at an earlier pair.
     """
     slices = [dict(sl) for sl in s._slices]
     for dm, m, sign, inverse in factors:
         if inverse:
-            _divide(slices, ((dm, m, sign),))
+            _add_shifted(slices[dm:], slices, m, -sign)
         else:
             _add_shifted(slices[:dm - 1:-1], slices[-dm - 1::-1], m, sign)
     return GradedSeries._of(s.lattice, s.cutoff, slices)

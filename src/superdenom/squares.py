@@ -26,7 +26,7 @@ def theta(order: int, sign: int = 1) -> GradedSeries:
     while j * j <= order:
         terms[(j * j,)] = 2 * (sign ** (j * j))
         j += 1
-    return GradedSeries(QL, order, terms)
+    return GradedSeries.from_terms(QL, order, terms)
 
 
 @lru_cache(maxsize=None)

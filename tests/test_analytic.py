@@ -5,10 +5,12 @@ import math
 import sys
 
 import pytest
+from oracles import eval_series
 
 from superdenom import analytic, identities
 from superdenom.analytic import (
     EvalConfig,
+    LIMIT_Y,
     PoleProximity,
     PrecisionLoss,
     SAMPLES,
@@ -22,7 +24,6 @@ from superdenom.analytic import (
     eval_B,
     eval_Rhat,
     eval_ratio,
-    eval_series,
     pole_distance,
     qpoch,
     run_suite,
@@ -55,7 +56,13 @@ def test_default_config_samples(cfg):
     radii = {round(abs(y), 6) for y in SAMPLES}
     assert radii == {0.7, 1.2}
     for y in SAMPLES:
-        assert pole_distance(cfg, y) > math.sqrt(cfg.tol)
+        assert pole_distance(cfg, y) > 2 * (LIMIT_Y ** 2 - 1)
+
+
+def test_pole_guard_admits_the_limit_point_at_any_tol():
+    for tol in (1e-4, 1e-6, 1e-7, 1e-8, 1e-12):
+        for q in (0.1, 0.2):
+            assert check_limits(EvalConfig(q=q, tol=tol))["ok"]
 
 
 def test_qpoch_against_partial_product(cfg):

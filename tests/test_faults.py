@@ -20,6 +20,7 @@ sign-twisted divisor formula, which `jacobi` must flag row by row.
 """
 
 import pytest
+from oracles import inner
 
 from superdenom import cli, squares
 from superdenom import identities as ids
@@ -120,8 +121,9 @@ def test_translate_without_delta_term_is_caught(monkeypatch, fresh_caches):
     # without its delta term a translation fixes every level-0 weight, so
     # every ring of a translation orbit repeats ring 0 and the ring sum
     # fails at its bound instead of returning a series
+    # (lam, delta) is 0 on every weight the orbit sums meet
     monkeypatch.setattr(
-        roots, "translate", lambda mu, lam: lam + roots.inner(lam, roots.DELTA) * mu)
+        roots, "translate", lambda mu, lam: lam + int(inner(lam, roots.DELTA)) * mu)
     with pytest.raises(SeriesError, match="past the bound"):
         roots.orbit_sum("What_alpha", roots.STANDARD_SEED, ids.GL, 24)
     with pytest.raises(SeriesError, match="past the bound"):

@@ -6,6 +6,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from oracles import compose, coords, exp_to_weight, form, inner, weight_of
 
 from superdenom.roots import (
     ALPHA,
@@ -24,13 +25,9 @@ from superdenom.roots import (
     STANDARD_SEED,
     T_ALPHA,
     T_GAMMA,
-    Weight,
     WeylElement,
     apply_weyl_term,
-    compose,
-    exp_to_weight,
     expand_orbit_term,
-    inner,
     orbit_sum,
     reflect,
     translate,
@@ -146,65 +143,58 @@ def test_fixed_vectors():
 # -- exact int action against the textbook Fraction formulas ------------------
 
 
-def _coords(w):
-    return tuple(Fraction(h, 2) for h in w.halves)
-
-
-def _ref_inner(x, y):
-    return (x[0] * y[0] + x[1] * y[1] - x[2] * y[2] - x[3] * y[3]
-            + x[4] * y[5] + x[5] * y[4])
-
-
 def _ref_reflect(nu, lam):
-    c = 2 * _ref_inner(lam, nu) / _ref_inner(nu, nu)
+    c = 2 * form(lam, nu) / form(nu, nu)
     return tuple(a - c * b for a, b in zip(lam, nu))
 
 
 def _ref_translate(mu, lam):
-    delta = _coords(DELTA)
-    ld = _ref_inner(lam, delta)
-    corr = _ref_inner(lam, mu) + Fraction(_ref_inner(mu, mu), 2) * ld
+    delta = coords(DELTA)
+    ld = form(lam, delta)
+    corr = form(lam, mu) + Fraction(form(mu, mu), 2) * ld
     return tuple(a + ld * m - corr * d for a, m, d in zip(lam, mu, delta))
 
 
 def test_int_action_matches_fraction_reference_200_cases():
     rng = random.Random(60606)
+    half_level = weight_of(0, 0, 0, 0, 0, Fraction(1, 2))
     for _ in range(200):
         # rho + root lattice + Z Lambda0, plus some half-integral levels
         lam = (rng.randrange(2) * RHO + _random_root_weight(rng)
-               + Fraction(rng.randrange(2), 2) * LAMBDA0)
+               + rng.randrange(2) * half_level)
         p, pp = rng.randrange(-5, 6), rng.randrange(-5, 6)
-        x = _coords(lam)
+        x = coords(lam)
         for nu in (ALPHA, GAMMA):
-            assert inner(lam, nu) == _ref_inner(x, _coords(nu))
-            assert _coords(reflect(nu, lam)) == _ref_reflect(_coords(nu), x)
+            assert coords(reflect(nu, lam)) == _ref_reflect(coords(nu), x)
         for mu in (p * ALPHA, pp * GAMMA):
-            assert _coords(translate(mu, lam)) == _ref_translate(_coords(mu), x)
+            assert coords(translate(mu, lam)) == _ref_translate(coords(mu), x)
 
 
 def test_coordinates_outside_half_integers_rejected():
+    # a weight is scaled only by ints, so no scalar takes it out of (1/2 Z)^6
+    for scalar in (Fraction(1, 4), Fraction(-1, 2), 0.5, 1.0):
+        with pytest.raises(TypeError):
+            scalar * ALPHA
     with pytest.raises(ValueError):
-        Weight.of(Fraction(1, 3), 0, 0, 0, 0, 0)
-    with pytest.raises(ValueError):
-        Fraction(1, 4) * ALPHA
-    assert Fraction(-1, 2) * (BETA1 + BETA2) == RHO
+        weight_of(Fraction(1, 3), 0, 0, 0, 0, 0)
+    assert weight_of(*(-x / 2 for x in coords(BETA1 + BETA2))) == RHO
 
 
 def test_results_outside_half_integers_raise():
     # coefficient 2 (eps1, nu) / (nu, nu) = 4/5 for nu = 2 eps1 + eps2
     with pytest.raises(RootError):
-        reflect(Weight.of(2, 1, 0, 0, 0, 0), EPS1)
+        reflect(weight_of(2, 1, 0, 0, 0, 0), EPS1)
     # level 1/2 adds mu / 2, and mu = eps1 / 2 gives a quarter
     half = Fraction(1, 2)
     with pytest.raises(RootError):
-        translate(Weight.of(half, 0, 0, 0, 0, 0), Weight.of(0, 0, 0, 0, 0, half))
+        translate(weight_of(half, 0, 0, 0, 0, 0), weight_of(0, 0, 0, 0, 0, half))
     # a coefficient of 1/2 is fine when the result stays in (1/2 Z)^6
-    assert reflect(ALPHA, Weight.of(half, 0, 0, 0, 0, 0)) == Weight.of(0, half, 0, 0, 0, 0)
+    assert reflect(ALPHA, weight_of(half, 0, 0, 0, 0, 0)) == weight_of(0, half, 0, 0, 0, 0)
 
 
 ORBIT_PATH_PROBE = """
 import sys
-from superdenom import identities, roots
+from superdenom import analytic, cli, identities, report, roots, series, squares
 roots.orbit_sum("T_alpha", roots.R_RHO_SEED, identities.GL, 16)
 roots.orbit_sum("What_alpha", roots.STANDARD_SEED, identities.GL, 24)
 print("fractions" in sys.modules)
@@ -212,7 +202,8 @@ print("fractions" in sys.modules)
 
 
 def test_orbit_path_needs_no_fraction():
-    # a fresh interpreter, so nothing imported by this test run counts
+    # no module of the package imports fractions, and the orbit sums need
+    # none; a fresh interpreter, so nothing imported by this test run counts
     out = subprocess.run([sys.executable, "-c", ORBIT_PATH_PROBE],
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "False"

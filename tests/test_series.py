@@ -8,6 +8,7 @@ from operator import add
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import degree_slice, from_coords, invert, restrict
 
 from superdenom.report import compare_series
 from superdenom.series import (
@@ -15,7 +16,6 @@ from superdenom.series import (
     GradedSeries,
     LatticeMismatch,
     LatticeSpec,
-    NotInvertible,
     MAX_CUTOFF,
     SeriesError,
     SupportViolation,
@@ -27,7 +27,6 @@ from superdenom.series import (
     expand_term,
     finite_gl_lattice,
     gl_lattice,
-    invert,
     linear_combine,
     mul,
     q_lattice,
@@ -183,26 +182,62 @@ def test_monomial_outside_cone_rejected():
         GradedSeries.from_terms(GL, 3, {(1, 0, 0, 0): 1})   # q has degree 4
 
 
+def test_from_terms_refuses_what_is_not_an_int_term():
+    # the one checked constructor: int coefficients, int exponents, a
+    # nonnegative cutoff; a zero coefficient is skipped, whatever its monomial
+    for c in (0.5, 1.0, Fraction(1, 2), Fraction(2), "1", None):
+        with pytest.raises(ValueError, match="bad coefficient"):
+            GradedSeries.from_terms(QL, 4, {(1,): c})
+    for e in ((1.0,), (Fraction(1),), (0, 1.0, 0)):
+        with pytest.raises(SupportViolation, match="non-int exponent"):
+            GradedSeries.from_terms(QL if len(e) == 1 else GL3, 4, {e: 1})
+    with pytest.raises(ValueError, match="cutoff must be nonnegative"):
+        GradedSeries.from_terms(QL, -1, {})
+    with pytest.raises(ValueError, match="expected 3 exponents"):
+        GradedSeries.from_terms(GL3, 4, {(1, 0): 1})
+    assert GradedSeries.from_terms(QL, 4, {(1,): 0, (9,): 0, (-1,): 0,
+                                          (0.5,): 0}).is_zero()
+
+
+def test_coordinate_rejections_come_from_from_terms():
+    # every refusal of the former {cone coordinates: c} constructor, now
+    # made by from_terms through the exponents of those coordinates
+    with pytest.raises(SupportViolation, match="outside cone"):
+        from_coords(GL3, 4, {(-1, 0, 0): 1})
+    with pytest.raises(SupportViolation, match="beyond cutoff 4"):
+        from_coords(GL3, 4, {(2, 2, 1): 1})
+    with pytest.raises(SupportViolation, match="non-int exponent"):
+        from_coords(GL3, 4, {(0.5, 0, 0): 1})
+    with pytest.raises(ValueError, match="bad coefficient"):
+        from_coords(GL3, 4, {(1, 0, 0): 0.5})
+    with pytest.raises(ValueError):
+        from_coords(GL3, 4, {(1, 0): 1})
+    with pytest.raises(ValueError, match="cutoff must be nonnegative"):
+        from_coords(GL3, -1, {})
+    with pytest.raises(TypeError):
+        GradedSeries(GL3, 4, {(1, 0, 0): 1})
+
+
 def test_slice_and_support():
     s = GradedSeries.from_terms(GL, 4, {(0, 1, 0, 0): 2, (1, -1, -1, -1): -1,
                                         (1, 0, 0, 0): 5})
-    assert s.slice(1) == {(0, 1, 0, 0): 2, (1, -1, -1, -1): -1}
-    assert s.slice(4) == {(1, 0, 0, 0): 5}
-    assert s.slice(2) == {}
-    assert len(s.support()) == 3
+    assert degree_slice(s, 1) == {(0, 1, 0, 0): 2, (1, -1, -1, -1): -1}
+    assert degree_slice(s, 4) == {(1, 0, 0, 0): 5}
+    assert degree_slice(s, 2) == {}
+    assert s.support() == [(1, -1, -1, -1), (0, 1, 0, 0), (1, 0, 0, 0)]
     with pytest.raises(BeyondCutoff):
-        s.slice(5)
+        degree_slice(s, 5)
 
 
 def test_restrict():
     s = GradedSeries.from_terms(GL, 8, {(0, 1, 0, 0): 1, (1, 0, 0, 0): 2,
                                         (2, 0, 0, 0): 3})
-    r = s.restrict(4)
+    r = restrict(s, 4)
     assert r.cutoff == 4
     assert r.coeff((1, 0, 0, 0)) == 2
     assert len(r) == 2
     with pytest.raises(BeyondCutoff):
-        r.restrict(8)
+        restrict(r, 8)
 
 
 # -- arithmetic --------------------------------------------------------------
@@ -255,13 +290,6 @@ def test_invert_geometric():
     assert mul(s, inv) == GradedSeries.one(QL, 6)
 
 
-def test_invert_requires_unit():
-    with pytest.raises(NotInvertible):
-        invert(GradedSeries.from_terms(QL, 4, {(0,): 2}))
-    with pytest.raises(NotInvertible):
-        invert(GradedSeries.from_terms(QL, 4, {(1,): 1}))
-
-
 def _random_series(rng, lattice, cutoff, n_terms, unit=False):
     terms = {}
     if unit:
@@ -271,7 +299,7 @@ def _random_series(rng, lattice, cutoff, n_terms, unit=False):
         k = tuple(rng.randrange(0, cutoff + 1) for _ in range(lattice.rank))
         if sum(k) <= cutoff and not (unit and k == zero):
             terms[k] = rng.randrange(-9, 10) or 1
-    return GradedSeries(lattice, cutoff, terms)
+    return from_coords(lattice, cutoff, terms)
 
 
 def _coord_terms(s):
@@ -308,18 +336,18 @@ def test_carry_boundary_coordinate_at_cutoff(lattice):
     for i in range(rank):
         top = tuple(n * x for x in units[i])
         below = tuple((n - 1) * x for x in units[i])
-        t = GradedSeries(lattice, n, {top: 3})
-        b = GradedSeries(lattice, n, {below: -2})
+        t = from_coords(lattice, n, {top: 3})
+        b = from_coords(lattice, n, {below: -2})
         for u in units:
             g = lattice.to_exps(u)
             assert apply_binomials(t, [(g, 1, False)]) == t
             assert apply_binomials(t, [(g, -1, True)]) == t
-            assert mul(t, GradedSeries(lattice, n, {u: 1})).is_zero()
+            assert mul(t, from_coords(lattice, n, {u: 1})).is_zero()
             up = apply_binomials(b, [(g, 1, False)])
-            assert up == GradedSeries(lattice, n, {below: -2,
-                                                   tuple(map(add, below, u)): -2})
+            assert up == from_coords(lattice, n, {below: -2,
+                                                  tuple(map(add, below, u)): -2})
             assert apply_binomials(up, [(g, 1, True)]) == b
-        geo = invert(GradedSeries(lattice, n, {(0,) * rank: 1, units[i]: -1}))
+        geo = invert(from_coords(lattice, n, {(0,) * rank: 1, units[i]: -1}))
         assert _coord_terms(geo) == {tuple(j * x for x in units[i]): 1
                                      for j in range(n + 1)}
 
@@ -428,7 +456,7 @@ def test_ring_sum_raises_when_a_ring_past_its_bound_contributes():
 coords3 = st.tuples(st.integers(0, 8), st.integers(0, 8), st.integers(0, 8))
 series3 = st.dictionaries(coords3.filter(lambda k: sum(k) <= 10),
                           st.integers(-20, 20).filter(bool), max_size=8).map(
-    lambda terms: GradedSeries(GL3, 10, dict(terms)))
+    lambda terms: from_coords(GL3, 10, terms))
 
 
 @settings(max_examples=120, deadline=None)
@@ -456,12 +484,13 @@ def test_grading_additivity(a, b):
 @given(series3, series3, st.integers(0, 10))
 def test_truncation_soundness(a, b, m):
     # computing at high cutoff then restricting equals computing low; the
-    # re-based keys decode to the coordinates of degree <= m
-    assert _coord_terms(a.restrict(m)) == {k: c for k, c in _coord_terms(a).items()
-                                           if sum(k) <= m}
-    assert mul(a, b).restrict(m) == mul(a.restrict(m), b.restrict(m))
+    # keys of the lower cutoff decode to the coordinates of degree <= m
+    assert _coord_terms(restrict(a, m)) == {k: c for k, c in _coord_terms(a).items()
+                                            if sum(k) <= m}
+    assert restrict(mul(a, b), m) == mul(restrict(a, m), restrict(b, m))
     s = linear_combine([(3, a), (-2, b)])
-    assert s.restrict(m) == linear_combine([(3, a.restrict(m)), (-2, b.restrict(m))])
+    assert restrict(s, m) == linear_combine([(3, restrict(a, m)),
+                                             (-2, restrict(b, m))])
 
 
 # Every series operation is a few calls of one kernel over lists of degree
@@ -521,7 +550,7 @@ def _monomial_of_degree(draw, rank, degree):
 @given(kernel_cases(), st.sampled_from([-2, -1, 1, 2]), st.sampled_from([-1, 1, 3]))
 def test_mul_and_linear_combine_match_reference(case, x, y):
     lattice, cutoff, (ta, tb) = case
-    a, b = GradedSeries(lattice, cutoff, ta), GradedSeries(lattice, cutoff, tb)
+    a, b = from_coords(lattice, cutoff, ta), from_coords(lattice, cutoff, tb)
     assert _coord_terms(mul(a, b)) == _ref_mul(ta, tb, cutoff)
     assert _coord_terms(mul(a, a)) == _ref_mul(ta, ta, cutoff)
     assert _coord_terms(linear_combine([(x, a), (y, b), (-x, a)])) == \
@@ -546,7 +575,7 @@ def test_invert_matches_reference(case):
     for _ in range(cutoff + 1):
         total = _ref_combine([(1, total), (1, power)])
         power = _ref_mul(power, u, cutoff)
-    assert _coord_terms(invert(GradedSeries(lattice, cutoff, ts))) == \
+    assert _coord_terms(invert(from_coords(lattice, cutoff, ts))) == \
         _ref_combine([(c0, total)])
 
 
@@ -566,7 +595,7 @@ def test_apply_binomials_matches_reference(case, data):
                   else _ref_combine([(1, {(0,) * lattice.rank: 1}),
                                      (sign, {t: 1} if degree <= cutoff else {})]))
         expected = _ref_mul(expected, factor, cutoff)
-    s = GradedSeries(lattice, cutoff, ts)
+    s = from_coords(lattice, cutoff, ts)
     assert _coord_terms(apply_binomials(s, factors)) == expected
     assert _coord_terms(s) == ts
 
