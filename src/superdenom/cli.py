@@ -332,8 +332,9 @@ def _run(args) -> tuple[int, str | None]:
                 analytic.PoleProximity, analytic.PrecisionLoss) as exc:
             # q outside (0, 1), a tol that is not finite or is below double
             # precision, q so close to 1 that the float products underflow
-            # or fail to converge, or so small that rounding swamps B near
-            # its zeros: a usage error, not a mismatch
+            # or fail to converge, so small that rounding swamps B near its
+            # zeros, or a check failing within the rounding bound of what it
+            # compares: a usage error, not a mismatch
             sys.stderr.write(f"superdenom analytic: error: cannot evaluate at "
                              f"q={args.q}, tol={args.tol}: {exc}\n")
             return 2, None

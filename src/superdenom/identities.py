@@ -2,8 +2,8 @@
 
 The main object is the rank-4 series in (q, x, y1, y2): the infinite
 product side, the cyclotomic prefactor in y1/y2, and the signed affine
-orbit sum.  Auxiliary verifiers cover the finite rank-3 identity, the
-affine sl(2|1) identity, the two-translation-lattice lemma and the
+orbit sum.  Auxiliary verifiers cover the finite identity (its q^0 face),
+the affine sl(2|1) identity, the two-translation-lattice lemma and the
 support shape of the ratio of the two sides.
 """
 
@@ -18,15 +18,12 @@ from .series import (
     apply_binomials,
     apply_pochhammer,
     expand_term,
-    finite_gl_lattice,
-    gl_lattice,
     mul,
     ring_sum,
     sl21_lattice,
 )
 
-GL = gl_lattice()
-GL3 = finite_gl_lattice()
+GL = roots.GL
 SL21 = sl21_lattice()
 
 Q = (1, 0, 0, 0)
@@ -133,18 +130,17 @@ def _product(lattice, order: int, families) -> GradedSeries:
 def _positive_root_monomials(order: int):
     """(is_even, raw exponents of e^{-root}) for all positive affine roots
     whose monomial has degree <= order; imaginary roots s*delta enter with
-    multiplicity 4 (the Cartan dimension)."""
-    even_fin = [(0, 1, 0, 0), (0, 1, 1, 1)]                      # alpha, gamma
-    odd_fin = [(0, 0, 1, 0), (0, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1)]
-    out = [(True, e) for e in even_fin] + [(False, e) for e in odd_fin]
+    multiplicity 4 (the Cartan dimension).  The finite positive roots are
+    those of `roots.R_RHO_SEED`: the even ones its nums, the odd ones its
+    dens."""
+    seed = roots.R_RHO_SEED
+    fin = ([(True, roots.weight_to_exp(-v)) for v in seed.nums]
+           + [(False, roots.weight_to_exp(-v)) for v in seed.dens])
+    out = list(fin)
     s = 1
     while True:
-        layer = []
-        for sgn in (1, -1):
-            for e in even_fin:
-                layer.append((True, (s, sgn * e[1], sgn * e[2], sgn * e[3])))
-            for e in odd_fin:
-                layer.append((False, (s, sgn * e[1], sgn * e[2], sgn * e[3])))
+        layer = [(p, (s, sgn * e[1], sgn * e[2], sgn * e[3]))
+                 for sgn in (1, -1) for p, e in fin]
         layer.extend((True, (s, 0, 0, 0)) for _ in range(4))
         layer = [(p, e) for p, e in layer if GL.degree(e) <= order]
         if not layer:
@@ -260,7 +256,7 @@ def build_orbit_sum(order: int) -> GradedSeries:
 
     Sums the two hand-derived terms of each translation power.  Its
     independent cross-check is ``roots.orbit_sum("What_alpha",
-    roots.STANDARD_SEED, GL, order)``, which applies the What_alpha group
+    roots.STANDARD_SEED, order)``, which applies the What_alpha group
     elements to the seed weight by weight (`roots.WeylElement.apply`), so
     it does not rely on that derivation.
     """
@@ -285,17 +281,17 @@ def verify_prefactor(order: int) -> QReport:
 
 @lru_cache(maxsize=None)
 def build_finite_r(order: int) -> GradedSeries:
-    """(1-x)(1-x y1 y2) / ((1+y1)(1+y2)(1+x y1)(1+x y2)) on the rank-3 lattice."""
-    return expand_term(GL3, order, 1, (0, 0, 0),
-                       nums=[(1, 0, 0), (1, 1, 1)],
-                       dens=[(0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1)])
+    """(1-x)(1-x y1 y2) / ((1+y1)(1+y2)(1+x y1)(1+x y2)), on the q^0 face
+    of GL: `roots.R_RHO_SEED` expanded with no group element applied, so
+    independent of the Weyl action the W_alpha and W_gamma sums use."""
+    return roots.expand_orbit_term(roots.R_RHO_SEED, order)
 
 
 def verify_finite_identity(order: int) -> QReport:
     """Three-way equality: product form, W_alpha sum and W_gamma sum."""
     r = build_finite_r(order)
-    wa = roots.orbit_sum("W_alpha", roots.STANDARD_SEED, GL3, order)
-    wg = roots.orbit_sum("W_gamma", roots.STANDARD_SEED, GL3, order)
+    wa = roots.orbit_sum("W_alpha", roots.STANDARD_SEED, order)
+    wg = roots.orbit_sum("W_gamma", roots.STANDARD_SEED, order)
     rep = compare_series("denominator-gl22-finite", r, wa)
     rep2 = compare_series("denominator-gl22-finite", wa, wg)
     rep.extra = {"product_vs_walpha": rep.matched, "walpha_vs_wgamma": rep2.matched}
@@ -306,8 +302,8 @@ def verify_finite_identity(order: int) -> QReport:
 
 def verify_talpha_tgamma(order: int) -> QReport:
     """Translation orbit sums along alpha and along gamma of R e^rho agree."""
-    ta = roots.orbit_sum("T_alpha", roots.R_RHO_SEED, GL, order)
-    tg = roots.orbit_sum("T_gamma", roots.R_RHO_SEED, GL, order)
+    ta = roots.orbit_sum("T_alpha", roots.R_RHO_SEED, order)
+    tg = roots.orbit_sum("T_gamma", roots.R_RHO_SEED, order)
     return compare_series("talpha-vs-tgamma", ta, tg)
 
 

@@ -15,7 +15,10 @@ weight is scaled only by ints.
 
 from __future__ import annotations
 
-from .series import GradedSeries, LatticeSpec, expand_term, ring_sum
+from .series import GradedSeries, expand_term, gl_lattice, ring_sum
+
+# The lattice of (q, x, y1, y2); the finite identity lives on its q^0 face.
+GL = gl_lattice()
 
 
 class RootError(Exception):
@@ -172,6 +175,7 @@ class OrbitTerm:
 
 
 STANDARD_SEED = OrbitTerm(1, RHO, (), (BETA1, BETA2))
+# R e^rho; the finite positive roots, listed once: even in nums, odd in dens.
 R_RHO_SEED = OrbitTerm(1, RHO, (ALPHA, GAMMA),
                        (BETA1, BETA2, ALPHA + BETA1, ALPHA + BETA2))
 
@@ -182,11 +186,11 @@ def apply_weyl_term(w: WeylElement, t: OrbitTerm) -> OrbitTerm:
                      tuple(w.apply(v) for v in t.dens))
 
 
-def weight_to_exp(lam: Weight, affine: bool = True):
-    """Raw exponents of the monomial e^lam.
+def weight_to_exp(lam: Weight):
+    """Raw exponents (n, a, b1, b2) of the monomial e^lam.
 
-    lam must lie in Z<delta, alpha, beta1, beta2> (delta coefficient 0 in
-    the finite case); e.g. e^{-delta} is q, so e^lam = q^{-n} x^{-a} ...
+    lam must lie in Z<delta, alpha, beta1, beta2>; e.g. e^{-delta} is q, so
+    e^lam = q^{-n} x^{-a} ...
     """
     c = lam.halves          # so a, b1, b2, n below are in half units too
     b1 = c[2]
@@ -198,24 +202,15 @@ def weight_to_exp(lam: Weight, affine: bool = True):
     if (n | a | b1 | b2) & 1:
         raise RootError(f"{lam} has non-integer root coordinates; "
                         "requires rho-normalization")
-    if not affine:
-        if n != 0:
-            raise RootError(f"{lam} has a delta component in the finite case")
-        return (-a // 2, -b1 // 2, -b2 // 2)
     return (-n // 2, -a // 2, -b1 // 2, -b2 // 2)
 
 
-def expand_orbit_term(term: OrbitTerm, lattice: LatticeSpec,
-                      cutoff: int) -> GradedSeries:
-    """Expansion of e^{-rho} * term as a cone-supported series.
-
-    The rank-4 lattice is the affine one; any other is finite (no delta).
-    """
-    affine = lattice.rank == 4
-    base = weight_to_exp(term.top - RHO, affine)
-    nums = [weight_to_exp(-v, affine) for v in term.nums]
-    dens = [weight_to_exp(-v, affine) for v in term.dens]
-    return expand_term(lattice, cutoff, term.sign, base, nums, dens)
+def expand_orbit_term(term: OrbitTerm, cutoff: int) -> GradedSeries:
+    """Expansion of e^{-rho} * term as a cone-supported series on GL."""
+    nums = [weight_to_exp(-v) for v in term.nums]
+    dens = [weight_to_exp(-v) for v in term.dens]
+    return expand_term(GL, cutoff, term.sign, weight_to_exp(term.top - RHO),
+                       nums, dens)
 
 
 _FINITE_GROUPS = {
@@ -239,13 +234,12 @@ def _ring(group: str, k: int):
     raise ValueError(f"unknown group {group!r}")
 
 
-def orbit_sum(group: str, seed: OrbitTerm, lattice: LatticeSpec,
-              cutoff: int) -> GradedSeries:
+def orbit_sum(group: str, seed: OrbitTerm, cutoff: int) -> GradedSeries:
     """Signed sum of seed over the group, rho-normalized and truncated.
 
     Group elements are visited ring by ring in the translation power, by
     `ring_sum`.
     """
     return ring_sum(
-        lambda k: [expand_orbit_term(apply_weyl_term(w, seed), lattice, cutoff)
+        lambda k: [expand_orbit_term(apply_weyl_term(w, seed), cutoff)
                    for w in _ring(group, k)])

@@ -133,13 +133,9 @@ def cone_coords(lattice: LatticeSpec, exps):
 
 def gl_lattice() -> LatticeSpec:
     # raw exponents (n, a, b1, b2) of q^n x^a y1^b1 y2^b2;
-    # coords (b1+n, a+n, b2+n, n), the dual basis of {y1, x, y2, q/(x y1 y2)}
+    # coords (b1+n, a+n, b2+n, n), the dual basis of {y1, x, y2, q/(x y1 y2)};
+    # its q^0 face n = 0 is the finite cone a, b1, b2 >= 0 of degree a+b1+b2
     return LatticeSpec(4, ((1, 0, 1, 0), (1, 1, 0, 0), (1, 0, 0, 1), (1, 0, 0, 0)))
-
-
-def finite_gl_lattice() -> LatticeSpec:
-    # raw exponents (a, b1, b2) of x^a y1^b1 y2^b2; K = identity
-    return LatticeSpec(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 
 
 def sl21_lattice() -> LatticeSpec:

@@ -9,9 +9,19 @@ read as exact `Fraction` coordinates.
 from fractions import Fraction
 
 from superdenom.roots import ALPHA, BETA1, BETA2, DELTA, Weight, WeylElement
-from superdenom.series import BeyondCutoff, GradedSeries, linear_combine, mul
+from superdenom.series import (
+    BeyondCutoff,
+    GradedSeries,
+    LatticeSpec,
+    linear_combine,
+    mul,
+)
 
 # -- series ------------------------------------------------------------------
+
+# A generic rank-3 lattice: K is the identity, so raw exponents are cone
+# coordinates.
+ID3 = LatticeSpec(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 
 
 def from_coords(lattice, cutoff, terms):
@@ -25,6 +35,14 @@ def degree_slice(s, d):
     if d > s.cutoff:
         raise BeyondCutoff(f"degree {d} beyond truncation {s.cutoff}")
     return {e: c for k, e, c in s.items_canonical() if sum(k) == d}
+
+
+def q0_face(s):
+    """The terms of a series of raw exponents (n, ...) that have n = 0, the
+    q^0 face of the gl(2|2)^ lattice, as a series of the same lattice and
+    cutoff."""
+    return GradedSeries.from_terms(
+        s.lattice, s.cutoff, {e: c for _, e, c in s.items_canonical() if e[0] == 0})
 
 
 def restrict(s, m):
@@ -91,9 +109,9 @@ def weight_of(*vals):
     return Weight(tuple(int(h) for h in halves))
 
 
-def exp_to_weight(exps, affine=True):
+def exp_to_weight(exps):
     """The weight lam of the monomial e^lam of raw exponents exps."""
-    n, a, b1, b2 = exps if affine else (0, *exps)
+    n, a, b1, b2 = exps
     return -(n * DELTA + a * ALPHA + b1 * BETA1 + b2 * BETA2)
 
 

@@ -26,6 +26,7 @@ from superdenom.analytic import (
     eval_ratio,
     pole_distance,
     qpoch,
+    rel_rounding_B,
     run_suite,
 )
 
@@ -106,6 +107,53 @@ def test_b_zeros_refuse_a_q_where_rounding_reaches_tol():
         check_b_zeros(EvalConfig(q=1e-14))
     rep = check_b_zeros(EvalConfig(q=1e-14, tol=1e-4))
     assert rep["ok"]
+
+
+def test_failure_within_rounding_bound_is_unresolved():
+    cfg = EvalConfig(q=0.8)
+    assert max(rel_rounding_B(cfg, y) for y in SAMPLES) > 1e-4
+    with pytest.raises(PrecisionLoss, match="ratio_one deviates by"):
+        check_ratio_one(cfg)
+    # the functional equations read B at y and q y; at the second sample
+    # they fail within its rounding bound, at the first they pass
+    with pytest.raises(PrecisionLoss, match="functional deviates by"):
+        check_functional(cfg, SAMPLES[1])
+    assert check_functional(cfg, SAMPLES[0])["ok"]
+    with pytest.raises(PrecisionLoss, match="within its rounding bound"):
+        run_suite(cfg)
+
+
+def test_passing_check_stands_whatever_its_bound():
+    # at q = 0.7 B's relative rounding bound exceeds the default tol, but
+    # the checks pass with room to spare
+    cfg = EvalConfig(q=0.7)
+    assert max(rel_rounding_B(cfg, y) for y in SAMPLES) > cfg.tol
+    rep = run_suite(cfg)
+    assert rep["ok"]
+    assert rep["ratio_one"]["max_deviation"] < 1e-9
+
+
+def test_failure_outside_rounding_bound_is_a_mismatch(monkeypatch, cfg):
+    # a wrong R, off by 1e-6, fails where B is resolved to 1e-13: a
+    # mismatch, not a precision loss
+    rhat = analytic.eval_Rhat
+    monkeypatch.setattr(analytic, "eval_Rhat",
+                        lambda c, y: rhat(c, y) * (1 + 1e-6))
+    rep = check_ratio_one(cfg)
+    assert not rep["ok"]
+    assert rep["max_deviation"] > 1e-7
+    assert not run_suite(cfg)["ok"]
+
+
+def test_wrong_b_ratio_outside_rounding_bound_is_a_mismatch(monkeypatch, cfg):
+    # the functional check reads B at y and q y; a B off by a factor that
+    # depends on y fails there, and B is resolved, so it is a mismatch
+    b = analytic.eval_B
+    monkeypatch.setattr(analytic, "eval_B",
+                        lambda c, y: b(c, y) * (1 + 1e-6 * abs(y)))
+    rep = check_functional(cfg, SAMPLES[0])
+    assert not rep["ok"]
+    assert rep["a_over_r"] < cfg.tol
 
 
 def test_functional_equations(cfg):

@@ -137,15 +137,18 @@ def test_analytic_defaults_keep_their_stdout(capsys):
                                   ["--tol", "nan"], ["--tol", "inf"],
                                   ["--tol", "1e-300"],
                                   *[["--q", q] for q in ("1e-10", "1e-14",
-                                                         "1e-20", "1e-30")]],
+                                                         "1e-20", "1e-30",
+                                                         "0.8", "0.9")]],
                          ids=["1.5", "0.999", "tol-nan", "tol-inf", "tol-1e-300",
-                              "1e-10", "1e-14", "1e-20", "1e-30"])
+                              "1e-10", "1e-14", "1e-20", "1e-30", "0.8", "0.9"])
 def test_analytic_unusable_q_is_usage_error(capsys, argv):
     # 1.5 is outside (0, 1); at 0.999 the float products underflow to 0;
     # a tolerance must be finite, and no float check meets one below the
     # double-precision epsilon; at 1e-10 and below the summands of B near
     # its zeros y^3 = -q^m grow like a power of 1/q and cancel, so rounding
-    # can move B by more than tol
+    # can move B by more than tol; at 0.8 and 0.9 the checks that read B
+    # fail while its rounding bound relative to |B| reaches 4e-4 and 1e4,
+    # so they cannot tell a false identity from lost precision
     code = main(["analytic", *argv])
     captured = capsys.readouterr()
     assert code == 2
@@ -165,6 +168,30 @@ def test_analytic_small_q_is_resolved(capsys, q):
     assert code == 0
     assert captured.err == ""
     assert captured.out.startswith("ok: True\n")
+
+
+_RESOLVED_STDOUT = {
+    "0.01": ("2.665e-15", "7.959e-15", "1.927e-15", "9.999e-05", "2.500e-05",
+             "7.916e-11"),
+    "0.2": ("2.223e-15", "1.457e-15", "4.217e-15", "9.995e-05", "2.499e-05",
+            "7.916e-11"),
+    "0.7": ("3.520e-11", "5.397e-16", "2.755e-11", "9.896e-05", "2.474e-05",
+            "2.139e-10"),
+}
+
+
+@pytest.mark.parametrize("q", sorted(_RESOLVED_STDOUT))
+def test_analytic_resolved_q_keeps_its_stdout(capsys, q):
+    # at q = 0.7 the rounding bound of B relative to |B| exceeds the default
+    # tol, yet every check passes, so the run stands
+    code = main(["analytic", "--q", q])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    keys = ("ratio_one_max_dev", "b_zero_max", "functional_max_dev",
+            "limit_dev_a_over_r", "limit_dev_b", "an_limits_max_dev")
+    assert captured.out == "ok: True\n" + "".join(
+        f"{k}: {v}\n" for k, v in zip(keys, _RESOLVED_STDOUT[q]))
 
 
 @pytest.mark.parametrize("q", ["0.1", "0.2"])

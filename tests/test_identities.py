@@ -4,7 +4,7 @@ import json
 import pathlib
 
 import pytest
-from oracles import degree_slice, inner, restrict
+from oracles import degree_slice, inner, q0_face, restrict
 
 from superdenom import identities as ids
 from superdenom import roots, series
@@ -19,7 +19,6 @@ from superdenom.series import (
 )
 
 GL = ids.GL
-GL3 = ids.GL3
 SL21 = ids.SL21
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -199,9 +198,9 @@ def test_prefactor_methods_agree(order):
 @pytest.mark.parametrize("order", [16, 24, 32, 40])
 def test_orbit_sum_methods_agree(order):
     closed = ids.build_orbit_sum(order)
-    assert closed == roots.orbit_sum("What_alpha", roots.STANDARD_SEED, ids.GL, order)
+    assert closed == roots.orbit_sum("What_alpha", roots.STANDARD_SEED, order)
     # the sum over the What_gamma rings gives the same series
-    assert closed == roots.orbit_sum("What_gamma", roots.STANDARD_SEED, ids.GL, order)
+    assert closed == roots.orbit_sum("What_gamma", roots.STANDARD_SEED, order)
 
 
 def test_orbit_sum_leading_terms():
@@ -240,8 +239,8 @@ def test_denominator_report_records_mismatch():
 
 def test_finite_product_closed_form():
     # 1/((1+y1)(1+y2)) - x/((1+x y1)(1+x y2)) equals the product form
-    a = expand_term(GL3, 16, 1, (0, 0, 0), dens=[(0, 1, 0), (0, 0, 1)])
-    b = expand_term(GL3, 16, -1, (1, 0, 0), dens=[(1, 1, 0), (1, 0, 1)])
+    a = expand_term(GL, 16, 1, (0, 0, 0, 0), dens=[(0, 0, 1, 0), (0, 0, 0, 1)])
+    b = expand_term(GL, 16, -1, (0, 1, 0, 0), dens=[(0, 1, 1, 0), (0, 1, 0, 1)])
     assert linear_combine([(1, a), (1, b)]) == ids.build_finite_r(16)
 
 
@@ -250,6 +249,17 @@ def test_finite_identity(order):
     rep = ids.verify_finite_identity(order)
     assert rep.matched
     assert rep.extra == {"product_vs_walpha": True, "walpha_vs_wgamma": True}
+
+
+@pytest.mark.parametrize("order", [0, 1, 8, 24, 40])
+def test_finite_identity_is_the_q0_face_of_the_affine_one(order):
+    # on the shared lattice the finite product and orbit sum are the q^0
+    # terms of the affine product side, orbit sum and right side
+    walpha = roots.orbit_sum("W_alpha", roots.STANDARD_SEED, order)
+    assert q0_face(ids.build_lhs(order)) == ids.build_finite_r(order)
+    assert q0_face(ids.build_orbit_sum(order)) == walpha
+    assert q0_face(ids.build_rhs(order)) == walpha
+    assert len(ids.build_finite_r(order)) > 0
 
 
 # -- translation lemma -------------------------------------------------------
@@ -261,7 +271,7 @@ def test_rrho_seed_expansion_closed_form():
                          nums=[(0, 1, 0, 0), (0, 1, 1, 1)],
                          dens=[(0, 0, 1, 0), (0, 0, 0, 1),
                                (0, 1, 1, 0), (0, 1, 0, 1)])
-    assert roots.expand_orbit_term(roots.R_RHO_SEED, GL, 12) == direct
+    assert roots.expand_orbit_term(roots.R_RHO_SEED, 12) == direct
 
 
 def test_rrho_seed_isotropic_for_both_lattices():

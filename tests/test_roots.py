@@ -195,8 +195,8 @@ def test_results_outside_half_integers_raise():
 ORBIT_PATH_PROBE = """
 import sys
 from superdenom import analytic, cli, identities, report, roots, series, squares
-roots.orbit_sum("T_alpha", roots.R_RHO_SEED, identities.GL, 16)
-roots.orbit_sum("What_alpha", roots.STANDARD_SEED, identities.GL, 24)
+roots.orbit_sum("T_alpha", roots.R_RHO_SEED, 16)
+roots.orbit_sum("What_alpha", roots.STANDARD_SEED, 24)
 print("fractions" in sys.modules)
 """
 
@@ -220,7 +220,6 @@ def test_weight_to_exp_examples():
     assert weight_to_exp(-BETA2) == (0, 0, 0, 1)
     assert weight_to_exp(DELTA - GAMMA) == (-1, 1, 1, 1)
     assert weight_to_exp(-BETA1 - BETA2) == (0, 0, 1, 1)
-    assert weight_to_exp(-BETA1, affine=False) == (0, 1, 0)
 
 
 def test_weight_to_exp_rejects():
@@ -230,8 +229,6 @@ def test_weight_to_exp_rejects():
         weight_to_exp(EPS1)           # not in the root lattice
     with pytest.raises(RootError):
         weight_to_exp(LAMBDA0)
-    with pytest.raises(RootError):
-        weight_to_exp(-DELTA, affine=False)
 
 
 def test_exp_to_weight_round_trip():
@@ -277,7 +274,7 @@ def test_sw_supports_up_to_three():
     for n in range(-3, 4):
         for eps in (0, 1):
             w = WeylElement(p=n, eps=eps)
-            s = expand_orbit_term(apply_weyl_term(w, STANDARD_SEED), GL, cutoff)
+            s = expand_orbit_term(apply_weyl_term(w, STANDARD_SEED), cutoff)
             got = set(s.support())
             assert got == _expected_sw_support(n, eps, cutoff), (n, eps)
             supports[(n, eps)] = got
@@ -291,10 +288,10 @@ def test_sw_supports_up_to_three():
 def test_orbit_sum_anti_invariance():
     # replacing the seed by w0(seed), sign included, reindexes the same sum
     cutoff = 16
-    base = orbit_sum("What_alpha", STANDARD_SEED, GL, cutoff)
+    base = orbit_sum("What_alpha", STANDARD_SEED, cutoff)
     for w0 in (S_ALPHA, T_ALPHA, WeylElement(p=-2, eps=1)):
         twisted = orbit_sum("What_alpha", apply_weyl_term(w0, STANDARD_SEED),
-                            GL, cutoff)
+                            cutoff)
         assert twisted == base
 
 
@@ -302,7 +299,7 @@ def test_orbit_sum_coefficient_symmetry():
     # coefficients of the rho-normalized sum are antisymmetric under the
     # rho-twisted action on labels: a_{w . mu} = sgn(w) a_mu
     cutoff = 16
-    s = orbit_sum("What_alpha", STANDARD_SEED, GL, cutoff)
+    s = orbit_sum("What_alpha", STANDARD_SEED, cutoff)
     checked = 0
     for w in (S_ALPHA, T_ALPHA, WeylElement(p=-1)):
         for _, e, c in s.items_canonical():
@@ -316,12 +313,9 @@ def test_orbit_sum_coefficient_symmetry():
 
 
 def test_finite_orbit_sums_are_two_term():
-    from superdenom.series import finite_gl_lattice
-    GL3 = finite_gl_lattice()
-    wa = orbit_sum("W_alpha", STANDARD_SEED, GL3, 8)
+    wa = orbit_sum("W_alpha", STANDARD_SEED, 8)
     direct = linear_combine([
-        (1, expand_orbit_term(STANDARD_SEED, GL3, 8)),
-        (1, expand_orbit_term(apply_weyl_term(S_ALPHA, STANDARD_SEED),
-                              GL3, 8)),
+        (1, expand_orbit_term(STANDARD_SEED, 8)),
+        (1, expand_orbit_term(apply_weyl_term(S_ALPHA, STANDARD_SEED), 8)),
     ])
     assert wa == direct
