@@ -39,10 +39,11 @@ class PrecisionLoss(Exception):
 
 
 class EvalConfig:
-    """The nome q and the tolerance of every float check; immutable by
-    convention.  Raises ValueError for q outside (0, 1) or a tol that is not
-    finite or lies below the double-precision epsilon, which no float check
-    can meet."""
+    """The nome q and the tolerance tol of the ratio_one, b_zeros and
+    functional checks (the two limit checks have fixed tolerances of their
+    own); immutable by convention.  Raises ValueError for q outside (0, 1)
+    or a tol that is not finite or lies below the double-precision epsilon,
+    which no float check can meet."""
 
     __slots__ = ("q", "tol")
 

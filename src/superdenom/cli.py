@@ -21,7 +21,8 @@ _COMMANDS = {
     "verify-denom": ("main affine identity", 24, ("text", "json")),
     "verify-prefactor": ("product vs cyclotomic series prefactor", 40,
                          ("text", "json")),
-    "verify-finite": ("finite rank-3 identity", 24, ("text", "json")),
+    "verify-finite": ("finite gl(2|2) identity, the q^0 face", 24,
+                      ("text", "json")),
     "verify-sl21": ("affine sl(2|1) identity", 18, ("text", "json")),
     "verify-talpha-tgamma": ("translation orbit sums along alpha vs gamma", 16,
                              ("text", "json")),
@@ -52,14 +53,14 @@ _DUMPERS = {
 
 
 def _count(name: str):
-    """The converter of an integer option from 0 to `MAX_CUTOFF`; its
-    errors name the option ``name``."""
+    """The converter of an integer option from 0 to `MAX_CUTOFF`: ASCII
+    decimal digits after an optional sign, nothing else that `int` takes.
+    Its errors name the option ``name``."""
     def convert(value: str) -> int:
-        try:
-            n = int(value)
-        except ValueError:
-            raise ValueError(
-                f"{name} must be an integer, not {value!r}") from None
+        digits = value[1:] if value[:1] in ("+", "-") else value
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError(f"{name} must be an integer, not {value!r}")
+        n = int(value)
         if n < 0:
             raise ValueError(f"{name} must be nonnegative")
         if n > MAX_CUTOFF:
@@ -106,7 +107,8 @@ def _options(command: str) -> dict:
     elif command == "analytic":
         opts["--q"] = ("q", "Q", 0.1, _real, "the nome, in (0, 1)")
         opts["--tol"] = ("tol", "TOL", 1e-8, _real,
-                         "tolerance of every float check")
+                         "tolerance of the ratio_one, b_zeros and "
+                         "functional checks")
     elif command == "dump":
         opts["--expr"] = ("expr", "EXPR", _REQUIRED, _choice(tuple(_DUMPERS)),
                           f"the builder to serialize: {', '.join(_DUMPERS)}")
@@ -266,13 +268,9 @@ def _report_text(doc: dict) -> str:
 
 
 def _run_report(args) -> tuple[int, str]:
-    rep = _VERIFIERS[args.command](args.order)
-    doc = rep.to_dict()
-    if args.format == "json":
-        text = _json_text(doc)
-    else:
-        text = _report_text(doc)
-    return (0 if rep.matched else 1), text
+    doc = _VERIFIERS[args.command](args.order)
+    text = _json_text(doc) if args.format == "json" else _report_text(doc)
+    return (0 if doc["matched"] else 1), text
 
 
 def _run_jacobi(args) -> tuple[int, str]:
@@ -373,7 +371,7 @@ def _silence(stream) -> None:
 
 def main(argv=None) -> int:
     args = parse_args(sys.argv[1:] if argv is None else argv)
-    if not args.output:
+    if args.output is None:
         try:
             code, text = _run(args)
             if text is not None:

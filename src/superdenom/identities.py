@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import roots
-from .report import QReport, compare_series
+from .report import compare_series
 from .series import (
     GradedSeries,
     apply_binomials,
@@ -268,13 +268,13 @@ def build_rhs(order: int) -> GradedSeries:
     return mul(build_prefactor(order), build_orbit_sum(order))
 
 
-def verify_denominator(order: int) -> QReport:
+def verify_denominator(order: int) -> dict:
     """Product side versus prefactor times orbit sum, coefficient by coefficient."""
     return compare_series("denominator-gl22-affine",
                           build_lhs(order), build_rhs(order))
 
 
-def verify_prefactor(order: int) -> QReport:
+def verify_prefactor(order: int) -> dict:
     return compare_series("prefactor-product-vs-series",
                           build_prefactor(order), prefactor_fn_series(order))
 
@@ -287,20 +287,21 @@ def build_finite_r(order: int) -> GradedSeries:
     return roots.expand_orbit_term(roots.R_RHO_SEED, order)
 
 
-def verify_finite_identity(order: int) -> QReport:
+def verify_finite_identity(order: int) -> dict:
     """Three-way equality: product form, W_alpha sum and W_gamma sum."""
     r = build_finite_r(order)
     wa = roots.orbit_sum("W_alpha", roots.STANDARD_SEED, order)
     wg = roots.orbit_sum("W_gamma", roots.STANDARD_SEED, order)
     rep = compare_series("denominator-gl22-finite", r, wa)
     rep2 = compare_series("denominator-gl22-finite", wa, wg)
-    rep.extra = {"product_vs_walpha": rep.matched, "walpha_vs_wgamma": rep2.matched}
-    rep.matched = rep.matched and rep2.matched
-    rep.first_diffs = rep.first_diffs or rep2.first_diffs
+    rep["extra"] = {"product_vs_walpha": rep["matched"],
+                    "walpha_vs_wgamma": rep2["matched"]}
+    rep["matched"] = rep["matched"] and rep2["matched"]
+    rep["first_diffs"] = rep["first_diffs"] or rep2["first_diffs"]
     return rep
 
 
-def verify_talpha_tgamma(order: int) -> QReport:
+def verify_talpha_tgamma(order: int) -> dict:
     """Translation orbit sums along alpha and along gamma of R e^rho agree."""
     ta = roots.orbit_sum("T_alpha", roots.R_RHO_SEED, order)
     tg = roots.orbit_sum("T_gamma", roots.R_RHO_SEED, order)
@@ -326,12 +327,12 @@ def build_sl21_rhs(order: int) -> GradedSeries:
     return ring_sum(lambda n: _sl21_ring(order, n))
 
 
-def verify_sl21(order: int) -> QReport:
+def verify_sl21(order: int) -> dict:
     return compare_series("denominator-sl21-affine",
                           build_sl21_lhs(order), build_sl21_rhs(order))
 
 
-def ratio_support_check(order: int) -> QReport:
+def ratio_support_check(order: int) -> dict:
     """Y = RHS / LHS: support must lie in {q^n (y1/y2)^j, |j| <= n} and Y = 1.
 
     Y is computed as O / P', the orbit sum O divided by P' = LHS /
@@ -341,10 +342,8 @@ def ratio_support_check(order: int) -> QReport:
     """
     y = _divide_by(build_orbit_sum(order), _quotient_families())
     bad = [e for e in y.support() if e[1] != 0 or e[3] != -e[2]]
-    one = GradedSeries.one(GL, order)
-    rep = compare_series("ratio-support", y, one)
-    rep.extra = {"support_ok": not bad,
-                 "is_one": rep.matched,
-                 "bad_monomials": [list(e) for e in bad[:20]]}
-    rep.matched = rep.matched and not bad
+    rep = compare_series("ratio-support", y, GradedSeries.one(GL, order))
+    rep["extra"] = {"support_ok": not bad, "is_one": rep["matched"],
+                    "bad_monomials": [list(e) for e in bad[:20]]}
+    rep["matched"] = rep["matched"] and not bad
     return rep

@@ -33,11 +33,11 @@ def test_criterion_01_main_identity():
     started = time.perf_counter()
     stretch = ids.verify_denominator(40)
     stretch_secs = time.perf_counter() - started
-    ok = (rep.matched and not rep.first_diffs and base_secs < 60
-          and stretch.matched and stretch_secs < 600)
+    ok = (rep["matched"] and not rep["first_diffs"] and base_secs < 60
+          and stretch["matched"] and stretch_secs < 600)
     _report("main identity exact at N=24 and N=40", ok,
-            f"{rep.lhs_terms} monomials in {base_secs:.1f}s, "
-            f"stretch {stretch.lhs_terms} in {stretch_secs:.1f}s")
+            f"{rep['lhs_terms']} monomials in {base_secs:.1f}s, "
+            f"stretch {stretch['lhs_terms']} in {stretch_secs:.1f}s")
 
 
 def test_criterion_02_degree_one_slice_golden():
@@ -53,34 +53,35 @@ def test_criterion_02_degree_one_slice_golden():
 def test_criterion_03_prefactor_builders():
     rep = ids.verify_prefactor(40)
     _report("prefactor product and cyclotomic series agree at N=40",
-            rep.matched and not rep.first_diffs,
-            f"{rep.lhs_terms} monomials")
+            rep["matched"] and not rep["first_diffs"],
+            f"{rep['lhs_terms']} monomials")
 
 
 def test_criterion_04_finite_identity():
     rep = ids.verify_finite_identity(24)
     _report("finite identity three-way exact at N=24",
-            rep.matched and rep.extra["product_vs_walpha"]
-            and rep.extra["walpha_vs_wgamma"])
+            rep["matched"] and rep["extra"]["product_vs_walpha"]
+            and rep["extra"]["walpha_vs_wgamma"])
 
 
 def test_criterion_05_sl21_identity():
     rep = ids.verify_sl21(18)
     _report("affine sl(2|1) identity exact at N=18",
-            rep.matched and not rep.first_diffs,
-            f"{rep.lhs_terms} monomials")
+            rep["matched"] and not rep["first_diffs"],
+            f"{rep['lhs_terms']} monomials")
 
 
 def test_criterion_06_translation_lattices():
     rep = ids.verify_talpha_tgamma(16)
     _report("alpha and gamma translation orbit sums equal at N=16",
-            rep.matched and not rep.first_diffs)
+            rep["matched"] and not rep["first_diffs"])
 
 
 def test_criterion_07_ratio_support():
     rep = ids.ratio_support_check(24)
     _report("ratio supported on q^n (y1/y2)^j with |j| <= n and equal to 1 at N=24",
-            rep.matched and rep.extra["support_ok"] and rep.extra["is_one"])
+            rep["matched"] and rep["extra"]["support_ok"]
+            and rep["extra"]["is_one"])
 
 
 def test_criterion_08_eight_squares():

@@ -7,10 +7,12 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from superdenom import cli
+from superdenom import cli, roots
+from superdenom import identities as ids
 from superdenom.cli import main, parse_args
 from superdenom.series import MAX_CUTOFF
 
@@ -43,6 +45,35 @@ def test_all_verifiers_exit_zero(capsys, cmd):
     assert code == 0
 
 
+def _drop_first_schedule_family(monkeypatch):
+    monkeypatch.setattr(ids, "_SCHEDULE", ids._SCHEDULE[1:])
+
+
+def _reflect_as_identity(monkeypatch):
+    monkeypatch.setattr(roots, "reflect", lambda nu, lam: lam)
+
+
+_MISMATCH_STDOUT = json.loads(
+    (Path(__file__).parent / "data" / "mismatch_stdout.json").read_text())
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("cmd, fault", [
+    ("verify-denom", _drop_first_schedule_family),
+    ("ratio-support", _drop_first_schedule_family),
+    ("verify-finite", _reflect_as_identity),
+], ids=["verify-denom", "ratio-support", "verify-finite"])
+def test_mismatch_keeps_its_stdout(monkeypatch, fresh_caches, capsys, cmd,
+                                   fault, fmt):
+    # a broken builder's verdict, byte for byte: the diff lines or
+    # first_diffs, at most 20 of them, and the extra checks of the
+    # verifiers that have them
+    fault(monkeypatch)
+    code, out = run(capsys, cmd, "--order", "8", "--format", fmt)
+    assert code == 1
+    assert out == _MISMATCH_STDOUT[f"{cmd} {fmt}"]
+
+
 def test_negative_order_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify-denom", "--order", "-1"])
@@ -54,9 +85,14 @@ def test_negative_order_rejected(capsys):
     (["verify-denom", "--order", "abc"], "order", "abc"),
     (["dump", "--expr", "lhs", "--order", "abc"], "order", "abc"),
     (["jacobi", "--max-n", "x"], "max-n", "x"),
-], ids=["verify-denom", "dump", "jacobi"])
+    (["verify-denom", "--order", "3_0"], "order", "3_0"),
+    (["verify-denom", "--order", "\u0663"], "order", "\u0663"),
+    (["jacobi", "--max-n", "1_0"], "max-n", "1_0"),
+], ids=["verify-denom", "dump", "jacobi", "underscore", "arabic-indic-digit",
+        "jacobi-underscore"])
 def test_non_integer_order_rejected(capsys, argv, option, value):
-    # the message names the option that was given
+    # the message names the option that was given; only ASCII decimals
+    # count, not the digit separators or other digits that int() takes
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -268,6 +304,15 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys):
     assert len(captured.err.splitlines()) == 1
     assert str(target) in captured.err
     assert not target.exists()
+
+
+def test_empty_output_path_is_usage_error(capsys):
+    # an empty path is a path that cannot be opened, not a missing --output
+    code = main(["verify-denom", "--order", "2", "--output", ""])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_unwritable_output_fails_before_any_work(tmp_path, monkeypatch, capsys):

@@ -219,8 +219,8 @@ def test_orbit_sum_leading_terms():
 @pytest.mark.parametrize("order", [4, 8, 16])
 def test_denominator_small_orders(order):
     rep = ids.verify_denominator(order)
-    assert rep.matched and not rep.first_diffs
-    assert rep.lhs_terms == rep.rhs_terms > 0
+    assert rep["matched"] and not rep["first_diffs"]
+    assert rep["lhs_terms"] == rep["rhs_terms"] > 0
 
 
 def test_denominator_report_records_mismatch():
@@ -230,8 +230,8 @@ def test_denominator_report_records_mismatch():
                           (1, GradedSeries.from_terms(GL, 6, {(1, 0, 0, 0): 1}))])
     from superdenom.report import compare_series
     rep = compare_series("perturbed", lhs, bad)
-    assert not rep.matched
-    assert rep.first_diffs[0][0] == (1, 0, 0, 0)
+    assert not rep["matched"]
+    assert rep["first_diffs"][0]["e"] == [1, 0, 0, 0]
 
 
 # -- finite identity ---------------------------------------------------------
@@ -247,8 +247,8 @@ def test_finite_product_closed_form():
 @pytest.mark.parametrize("order", [8, 24])
 def test_finite_identity(order):
     rep = ids.verify_finite_identity(order)
-    assert rep.matched
-    assert rep.extra == {"product_vs_walpha": True, "walpha_vs_wgamma": True}
+    assert rep["matched"]
+    assert rep["extra"] == {"product_vs_walpha": True, "walpha_vs_wgamma": True}
 
 
 @pytest.mark.parametrize("order", [0, 1, 8, 24, 40])
@@ -283,7 +283,7 @@ def test_rrho_seed_isotropic_for_both_lattices():
 
 @pytest.mark.parametrize("order", [8, 16])
 def test_talpha_tgamma_orbit_sums(order):
-    assert ids.verify_talpha_tgamma(order).matched
+    assert ids.verify_talpha_tgamma(order)["matched"]
 
 
 # -- sl(2|1) -----------------------------------------------------------------
@@ -305,7 +305,7 @@ def test_sl21_rhs_low_slices():
 @pytest.mark.parametrize("order", [9, 18])
 def test_sl21_identity(order):
     rep = ids.verify_sl21(order)
-    assert rep.matched and not rep.first_diffs
+    assert rep["matched"] and not rep["first_diffs"]
 
 
 # -- ratio support -----------------------------------------------------------
@@ -313,9 +313,9 @@ def test_sl21_identity(order):
 
 def test_ratio_support(order=16):
     rep = ids.ratio_support_check(order)
-    assert rep.matched
-    assert rep.extra["support_ok"] and rep.extra["is_one"]
-    assert rep.extra["bad_monomials"] == []
+    assert rep["matched"]
+    assert rep["extra"]["support_ok"] and rep["extra"]["is_one"]
+    assert rep["extra"]["bad_monomials"] == []
 
 
 @pytest.mark.parametrize("order", range(49))
@@ -332,7 +332,7 @@ def test_ratio_support_builds_no_right_side(monkeypatch):
         monkeypatch.setattr(ids, name, forbidden)
     monkeypatch.setattr(series, "mul", forbidden)
     rep = ids.ratio_support_check(24)
-    assert rep.matched and rep.lhs_terms == rep.rhs_terms == 1
+    assert rep["matched"] and rep["lhs_terms"] == rep["rhs_terms"] == 1
 
 
 def test_ratio_support_flags_bad_builder():
