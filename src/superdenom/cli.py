@@ -391,7 +391,7 @@ def main(argv=None) -> int:
                 _write(fh, text)
         return code
     except OSError as exc:
-        return _cannot_write(args.output, exc)
+        return _cannot_write(repr(args.output), exc)
 
 
 if __name__ == "__main__":

@@ -14,17 +14,15 @@ from functools import lru_cache
 from . import roots
 from .report import compare_series
 from .series import (
+    GL,
+    SL21,
     GradedSeries,
     apply_binomials,
     apply_pochhammer,
     expand_term,
     mul,
     ring_sum,
-    sl21_lattice,
 )
-
-GL = roots.GL
-SL21 = sl21_lattice()
 
 Q = (1, 0, 0, 0)
 
@@ -127,27 +125,26 @@ def _product(lattice, order: int, families) -> GradedSeries:
     return apply_binomials(s, low)
 
 
-def _positive_root_monomials(order: int):
-    """(is_even, raw exponents of e^{-root}) for all positive affine roots
-    whose monomial has degree <= order; imaginary roots s*delta enter with
-    multiplicity 4 (the Cartan dimension).  The finite positive roots are
-    those of `roots.R_RHO_SEED`: the even ones its nums, the odd ones its
-    dens."""
-    seed = roots.R_RHO_SEED
-    fin = ([(True, roots.weight_to_exp(-v)) for v in seed.nums]
-           + [(False, roots.weight_to_exp(-v)) for v in seed.dens])
+def _positive_root_factors(order: int):
+    """The factor (raw exponents of e^{-root}, sign, inverse) of every
+    positive affine root of degree <= order: (1 - e^{-root}) if the root is
+    even, 1/(1 + e^{-root}) if odd.  Imaginary roots s*delta are even, with
+    multiplicity 4 (the Cartan dimension); the finite roots and their
+    parities are the factors of `roots.R_RHO_SEED`."""
+    fin = [(roots.weight_to_exp(-v), sign, inverse)
+           for v, sign, inverse in roots.R_RHO_SEED.factors]
     out = list(fin)
     s = 1
     while True:
-        layer = [(p, (s, sgn * e[1], sgn * e[2], sgn * e[3]))
-                 for sgn in (1, -1) for p, e in fin]
-        layer.extend((True, (s, 0, 0, 0)) for _ in range(4))
-        layer = [(p, e) for p, e in layer if GL.degree(e) <= order]
+        layer = [((s, sgn * e[1], sgn * e[2], sgn * e[3]), sign, inverse)
+                 for sgn in (1, -1) for e, sign, inverse in fin]
+        layer.extend(((s, 0, 0, 0), -1, False) for _ in range(4))
+        layer = [f for f in layer if GL.degree(f[0]) <= order]
         if not layer:
             break
         out.extend(layer)
         s += 1
-    return [(p, e) for p, e in out if GL.degree(e) <= order]
+    return [f for f in out if GL.degree(f[0]) <= order]
 
 
 @lru_cache(maxsize=None)
@@ -160,11 +157,10 @@ def build_lhs(order: int) -> GradedSeries:
 
 def lhs_from_roots(order: int) -> GradedSeries:
     """The infinite-product side, one binomial per positive affine root
-    from `_positive_root_monomials`: a cross-check of `build_lhs` that is
+    from `_positive_root_factors`: a cross-check of `build_lhs` that is
     independent of the hand-listed Pochhammer heads of `_SCHEDULE`."""
     return apply_binomials(GradedSeries.one(GL, order),
-                           [(e, -1, False) if is_even else (e, 1, True)
-                            for is_even, e in _positive_root_monomials(order)])
+                           _positive_root_factors(order))
 
 
 def _divide_by(s: GradedSeries, families) -> GradedSeries:
@@ -245,9 +241,9 @@ def prefactor_fn_series(order: int) -> GradedSeries:
 
 def _closed_orbit_term(order: int, n: int):
     return [expand_term(GL, order, 1, (n, 0, 0, 0),
-                        dens=[(n, 0, 1, 0), (n, 0, 0, 1)]),
+                        [((n, 0, 1, 0), 1, True), ((n, 0, 0, 1), 1, True)]),
             expand_term(GL, order, -1, (n, 1, 0, 0),
-                        dens=[(n, 1, 1, 0), (n, 1, 0, 1)])]
+                        [((n, 1, 1, 0), 1, True), ((n, 1, 0, 1), 1, True)])]
 
 
 @lru_cache(maxsize=None)
@@ -317,8 +313,8 @@ def build_sl21_lhs(order: int) -> GradedSeries:
 
 def _sl21_ring(order: int, n: int):
     # z^{n^2} e^{-n alpha'} / (1 + z^n u1)  -  z^{n^2} e^{n alpha'} / (1 + z^n u2^{-1})
-    t1 = expand_term(SL21, order, 1, (n * n, n, n), dens=[(n, 1, 0)])
-    t2 = expand_term(SL21, order, -1, (n * n, -n, -n), dens=[(n, 0, -1)])
+    t1 = expand_term(SL21, order, 1, (n * n, n, n), [((n, 1, 0), 1, True)])
+    t2 = expand_term(SL21, order, -1, (n * n, -n, -n), [((n, 0, -1), 1, True)])
     return [t1, t2]
 
 

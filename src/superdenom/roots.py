@@ -11,14 +11,14 @@ Weights have coordinates in 1/2 Z and are stored in half units, so the
 group action is exact int arithmetic; a result outside (1/2 Z)^6 raises
 RootError.  The constants below are built from half units directly, and a
 weight is scaled only by ints.
+
+An orbit term lists its factors as (weight v, s, inverse) triples, each
+(1 + s e^{-v})**(-1 if inverse else 1), and expands on `series.GL`.
 """
 
 from __future__ import annotations
 
-from .series import GradedSeries, expand_term, gl_lattice, ring_sum
-
-# The lattice of (q, x, y1, y2); the finite identity lives on its q^0 face.
-GL = gl_lattice()
+from .series import GL, GradedSeries, expand_term, ring_sum
 
 
 class RootError(Exception):
@@ -161,29 +161,28 @@ T_GAMMA = WeylElement(pp=1)
 
 
 class OrbitTerm:
-    """sign * e^top * prod(1 - e^{-nu}) / prod(1 + e^{-mu}) over the
-    weights nu of ``nums`` and mu of ``dens``.  Immutable by convention."""
+    """sign * e^top * prod (1 + s e^{-v})**(-1 if inverse else 1) over the
+    (weight v, s, inverse) ``factors``.  Immutable by convention."""
 
-    __slots__ = ("sign", "top", "nums", "dens")
+    __slots__ = ("sign", "top", "factors")
 
-    def __init__(self, sign: int, top: Weight, nums: tuple[Weight, ...],
-                 dens: tuple[Weight, ...]):
+    def __init__(self, sign: int, top: Weight, factors: tuple):
         self.sign = sign
         self.top = top
-        self.nums = nums
-        self.dens = dens
+        self.factors = factors
 
 
-STANDARD_SEED = OrbitTerm(1, RHO, (), (BETA1, BETA2))
-# R e^rho; the finite positive roots, listed once: even in nums, odd in dens.
-R_RHO_SEED = OrbitTerm(1, RHO, (ALPHA, GAMMA),
-                       (BETA1, BETA2, ALPHA + BETA1, ALPHA + BETA2))
+STANDARD_SEED = OrbitTerm(1, RHO, ((BETA1, 1, True), (BETA2, 1, True)))
+# R e^rho; the finite positive roots, listed once: each even root v as the
+# factor (1 - e^{-v}), each odd one as 1/(1 + e^{-v}).
+R_RHO_SEED = OrbitTerm(1, RHO, ((ALPHA, -1, False), (GAMMA, -1, False),
+                                (BETA1, 1, True), (BETA2, 1, True),
+                                (ALPHA + BETA1, 1, True), (ALPHA + BETA2, 1, True)))
 
 
 def apply_weyl_term(w: WeylElement, t: OrbitTerm) -> OrbitTerm:
     return OrbitTerm(t.sign * w.sgn(), w.apply(t.top),
-                     tuple(w.apply(v) for v in t.nums),
-                     tuple(w.apply(v) for v in t.dens))
+                     tuple((w.apply(v), s, inverse) for v, s, inverse in t.factors))
 
 
 def weight_to_exp(lam: Weight):
@@ -207,10 +206,9 @@ def weight_to_exp(lam: Weight):
 
 def expand_orbit_term(term: OrbitTerm, cutoff: int) -> GradedSeries:
     """Expansion of e^{-rho} * term as a cone-supported series on GL."""
-    nums = [weight_to_exp(-v) for v in term.nums]
-    dens = [weight_to_exp(-v) for v in term.dens]
     return expand_term(GL, cutoff, term.sign, weight_to_exp(term.top - RHO),
-                       nums, dens)
+                       [(weight_to_exp(-v), s, inverse)
+                        for v, s, inverse in term.factors])
 
 
 _FINITE_GROUPS = {

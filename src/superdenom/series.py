@@ -24,8 +24,12 @@ lattice, one cutoff: `mul`, `linear_combine` and `diff_up_to` take
 operands of one lattice and one cutoff and raise `LatticeMismatch` or
 `BeyondCutoff` otherwise, and no function moves keys to a new base.
 Coordinate tuples and raw exponents appear only where callers see them:
-`from_terms`, the one checked constructor, `coeff`, `items_canonical`,
-`support`, `diff_up_to` and the JSON interchange format.
+`from_terms`, the one checked constructor (`deserialize` too builds
+through it), `coeff`, `items_canonical`, `support`, `diff_up_to` and the
+JSON interchange format.  The lattices of the identities are the module
+constants `GL`, `SL21` and `QL`, and every binomial factor
+(1 + s*m)**(-1 if inverse else 1) is a (raw exponents of m, s, inverse)
+triple.
 """
 
 from __future__ import annotations
@@ -131,20 +135,13 @@ def cone_coords(lattice: LatticeSpec, exps):
     return coords, all(c >= 0 for c in coords), sum(coords)
 
 
-def gl_lattice() -> LatticeSpec:
-    # raw exponents (n, a, b1, b2) of q^n x^a y1^b1 y2^b2;
-    # coords (b1+n, a+n, b2+n, n), the dual basis of {y1, x, y2, q/(x y1 y2)};
-    # its q^0 face n = 0 is the finite cone a, b1, b2 >= 0 of degree a+b1+b2
-    return LatticeSpec(4, ((1, 0, 1, 0), (1, 1, 0, 0), (1, 0, 0, 1), (1, 0, 0, 0)))
-
-
-def sl21_lattice() -> LatticeSpec:
-    # raw exponents (n, b1, b2) of z^n u1^b1 u2^b2; coords (b1+n, b2+n, n)
-    return LatticeSpec(3, ((1, 1, 0), (1, 0, 1), (1, 0, 0)))
-
-
-def q_lattice() -> LatticeSpec:
-    return LatticeSpec(1, ((1,),))
+# raw exponents (n, a, b1, b2) of q^n x^a y1^b1 y2^b2; coords
+# (b1+n, a+n, b2+n, n), the dual basis of {y1, x, y2, q/(x y1 y2)}; its q^0
+# face n = 0 is the finite cone a, b1, b2 >= 0 of degree a+b1+b2
+GL = LatticeSpec(4, ((1, 0, 1, 0), (1, 1, 0, 0), (1, 0, 0, 1), (1, 0, 0, 0)))
+# raw exponents (n, b1, b2) of z^n u1^b1 u2^b2; coords (b1+n, b2+n, n)
+SL21 = LatticeSpec(3, ((1, 1, 0), (1, 0, 1), (1, 0, 0)))
+QL = LatticeSpec(1, ((1,),))  # the powers of q
 
 
 def _pack(coords, base: int) -> int:
@@ -417,35 +414,36 @@ def apply_pochhammer(s: GradedSeries, head, step, sign: int,
 
 
 def expand_term(lattice: LatticeSpec, cutoff: int, sign: int, base,
-                nums=(), dens=()) -> GradedSeries:
-    """Expand sign * m^base * prod(1 - m^nu) / prod(1 + m^mu) into the cone.
+                factors=()) -> GradedSeries:
+    """Expand sign * m^base * prod (1 + s * m^e)**(-1 if inverse else 1)
+    over the (e, s, inverse) factors into the cone.
 
     A factor (1 + s*m)**(+-1) whose monomial m has negative degree is
     rewritten as (s*m)**(+-1) (1 + s/m)**(+-1), which keeps every partial
-    expansion cone-supported.  A nonconstant factor monomial of degree
-    exactly 0 is rejected.
+    expansion cone-supported and needs s = +-1.  A constant numerator
+    (1 - 1) makes the term zero; every other factor of degree 0, or of
+    negative degree with another s, is rejected.
     """
     base = tuple(base)
-    factors = []
-    for e, s, inverse in [(e, -1, False) for e in nums] + [(e, 1, True) for e in dens]:
-        e = tuple(e)
+    out = []
+    for e, s, inverse in factors:
         d = lattice.degree(e)
-        if d < 0:  # 1 + s*m = s*m * (1 + s/m)
+        if d < 0 and s * s == 1:  # 1 + s*m = s*m * (1 + s/m)
             sign *= s
             base = tuple(b - x if inverse else b + x for b, x in zip(base, e))
             e = tuple(-x for x in e)
-        elif d == 0:
-            if not inverse and not any(e):
+        elif d <= 0:
+            if not inverse and s == -1 and not any(e):
                 return GradedSeries.zero(lattice, cutoff)
-            raise SupportViolation(f"factor monomial {e} of degree 0")
-        factors.append((e, s, inverse))
+            raise SupportViolation(f"factor {e} of sign {s} and degree {d}")
+        out.append((e, s, inverse))
     _, in_cone, deg = cone_coords(lattice, base)
     if not in_cone:
         raise SupportViolation(f"leading monomial {base} outside cone")
     if deg > cutoff:
         return GradedSeries.zero(lattice, cutoff)
     return apply_binomials(GradedSeries.from_terms(lattice, cutoff, {base: sign}),
-                           factors)
+                           out)
 
 
 def ring_sum(terms) -> GradedSeries:
@@ -517,7 +515,7 @@ def deserialize(text: str) -> GradedSeries:
 
     try:
         doc = json.loads(text)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, RecursionError) as exc:
         raise SeriesError(f"malformed series stream: {exc}") from None
     if not isinstance(doc, dict):
         raise SeriesError("malformed series stream: not a JSON object")
@@ -532,7 +530,7 @@ def deserialize(text: str) -> GradedSeries:
         lattice = LatticeSpec(rank, tuple(map(tuple, K)))
     except ValueError as exc:
         raise SeriesError(f"malformed series lattice: {exc}") from None
-    slices = _empty(cutoff)
+    terms = {}
     for rec in records:
         if not (isinstance(rec, dict) and _int_row(rec.get("k"), rank)
                 and _int_row(rec.get("e"), rank)
@@ -542,17 +540,12 @@ def deserialize(text: str) -> GradedSeries:
             c = int(rec["c"])
         except ValueError as exc:  # longer than the int conversion limit
             raise SeriesError(f"malformed record coefficient: {exc}") from None
-        coords = tuple(rec["k"])
-        if coords != lattice.to_coords(rec["e"]):
+        e = tuple(rec["e"])
+        if tuple(rec["k"]) != lattice.to_coords(e):
             raise SeriesError(f"inconsistent record {rec}")
-        if any(x < 0 for x in coords):
-            raise SeriesError(f"out-of-cone record {rec}")
-        if sum(coords) > cutoff:
-            raise SeriesError(f"record {rec} beyond cutoff")
         if c == 0:
             raise SeriesError(f"zero coefficient record {rec}")
-        dst, key = slices[sum(coords)], _pack(coords, cutoff + 1)
-        if key in dst:
+        if e in terms:
             raise SeriesError(f"duplicate record {rec}")
-        dst[key] = c
-    return GradedSeries._of(lattice, cutoff, slices)
+        terms[e] = c
+    return GradedSeries.from_terms(lattice, cutoff, terms)

@@ -12,9 +12,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .series import GradedSeries, apply_pochhammer, mul, q_lattice
-
-QL = q_lattice()
+from .series import QL, GradedSeries, apply_pochhammer, mul
 
 
 @lru_cache(maxsize=None)

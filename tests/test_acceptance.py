@@ -11,13 +11,12 @@ from oracles import ID3, compose, degree_slice, from_coords, inner, invert
 
 from superdenom import analytic, identities as ids, roots, squares
 from superdenom.series import (
+    GL,
     GradedSeries,
     cone_coords,
-    gl_lattice,
     mul,
 )
 
-GL = gl_lattice()
 DATA = pathlib.Path(__file__).parent / "data"
 
 

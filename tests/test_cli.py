@@ -313,6 +313,7 @@ def test_empty_output_path_is_usage_error(capsys):
     assert code == 2
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
+    assert "cannot write '':" in captured.err
 
 
 def test_unwritable_output_fails_before_any_work(tmp_path, monkeypatch, capsys):

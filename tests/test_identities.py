@@ -239,8 +239,10 @@ def test_denominator_report_records_mismatch():
 
 def test_finite_product_closed_form():
     # 1/((1+y1)(1+y2)) - x/((1+x y1)(1+x y2)) equals the product form
-    a = expand_term(GL, 16, 1, (0, 0, 0, 0), dens=[(0, 0, 1, 0), (0, 0, 0, 1)])
-    b = expand_term(GL, 16, -1, (0, 1, 0, 0), dens=[(0, 1, 1, 0), (0, 1, 0, 1)])
+    a = expand_term(GL, 16, 1, (0, 0, 0, 0),
+                    [((0, 0, 1, 0), 1, True), ((0, 0, 0, 1), 1, True)])
+    b = expand_term(GL, 16, -1, (0, 1, 0, 0),
+                    [((0, 1, 1, 0), 1, True), ((0, 1, 0, 1), 1, True)])
     assert linear_combine([(1, a), (1, b)]) == ids.build_finite_r(16)
 
 
@@ -268,9 +270,9 @@ def test_finite_identity_is_the_q0_face_of_the_affine_one(order):
 def test_rrho_seed_expansion_closed_form():
     # the seed term is (1-x)(1-x y1 y2)/((1+y1)(1+y2)(1+x y1)(1+x y2))
     direct = expand_term(GL, 12, 1, (0, 0, 0, 0),
-                         nums=[(0, 1, 0, 0), (0, 1, 1, 1)],
-                         dens=[(0, 0, 1, 0), (0, 0, 0, 1),
-                               (0, 1, 1, 0), (0, 1, 0, 1)])
+                         [((0, 1, 0, 0), -1, False), ((0, 1, 1, 1), -1, False),
+                          ((0, 0, 1, 0), 1, True), ((0, 0, 0, 1), 1, True),
+                          ((0, 1, 1, 0), 1, True), ((0, 1, 0, 1), 1, True)])
     assert roots.expand_orbit_term(roots.R_RHO_SEED, 12) == direct
 
 

@@ -34,12 +34,10 @@ from superdenom.roots import (
     weight_to_exp,
 )
 from superdenom.series import (
+    GL,
     cone_coords,
-    gl_lattice,
     linear_combine,
 )
-
-GL = gl_lattice()
 
 
 # -- bilinear form -----------------------------------------------------------

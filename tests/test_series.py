@@ -12,6 +12,9 @@ from oracles import ID3, degree_slice, from_coords, invert, restrict
 
 from superdenom.report import compare_series
 from superdenom.series import (
+    GL,
+    QL,
+    SL21,
     BeyondCutoff,
     GradedSeries,
     LatticeMismatch,
@@ -25,18 +28,11 @@ from superdenom.series import (
     cone_coords,
     deserialize,
     expand_term,
-    gl_lattice,
     linear_combine,
     mul,
-    q_lattice,
     ring_sum,
     serialize,
-    sl21_lattice,
 )
-
-GL = gl_lattice()
-QL = q_lattice()
-SL21 = sl21_lattice()
 
 
 # -- lattice and grading -----------------------------------------------------
@@ -394,12 +390,12 @@ def test_apply_pochhammer_inverse_round_trip():
 
 def test_expand_term_negative_degree_rewrite():
     # (1 - x) e^0 with x of degree 1 versus the pulled-out form of (1 - 1/x) x
-    direct = expand_term(ID3, 6, 1, (0, 0, 0), nums=[(1, 0, 0)])
-    pulled = expand_term(ID3, 6, -1, (1, 0, 0), nums=[(-1, 0, 0)])
+    direct = expand_term(ID3, 6, 1, (0, 0, 0), [((1, 0, 0), -1, False)])
+    pulled = expand_term(ID3, 6, -1, (1, 0, 0), [((-1, 0, 0), -1, False)])
     assert direct == pulled
     # 1/(1 + y1) versus (1/y1) / (1 + 1/y1)
-    a = expand_term(ID3, 6, 1, (0, 0, 0), dens=[(0, 1, 0)])
-    b = expand_term(ID3, 6, 1, (0, -1, 0), dens=[(0, -1, 0)])
+    a = expand_term(ID3, 6, 1, (0, 0, 0), [((0, 1, 0), 1, True)])
+    b = expand_term(ID3, 6, 1, (0, -1, 0), [((0, -1, 0), 1, True)])
     assert a == b
     assert a.coeff((0, 2, 0)) == 1 and a.coeff((0, 3, 0)) == -1
 
@@ -410,11 +406,40 @@ def test_expand_term_out_of_cone_base():
 
 
 def test_expand_term_vanishing_numerator():
-    assert expand_term(ID3, 6, 1, (0, 0, 0), nums=[(0, 0, 0)]).is_zero()
+    assert expand_term(ID3, 6, 1, (0, 0, 0), [((0, 0, 0), -1, False)]).is_zero()
+
+
+def test_expand_term_unexpandable_factors_rejected():
+    # only the constant numerator (1 - 1) has a meaning at degree 0, and a
+    # factor of negative degree is rewritten only for a sign of +-1:
+    # x (1 + 2/x) = x + 2 is not 2 (1 + 2x)
+    for factor in [((0, 0, 0), -1, True), ((0, 0, 0), 1, True),
+                   ((0, 0, 0), 1, False), ((1, -1, 0), -1, False),
+                   ((1, -1, 0), 1, True), ((-1, 0, 0), 2, False)]:
+        with pytest.raises(SupportViolation):
+            expand_term(ID3, 6, 1, (1, 0, 0), [factor])
+
+
+def test_expand_term_inverse_numerator_is_geometric():
+    # 1/(1 - x), the factor a ring of B in the one-variable identity needs
+    s = expand_term(ID3, 6, 1, (0, 0, 0), [((1, 0, 0), -1, True)])
+    assert s == GradedSeries.from_terms(ID3, 6, {(k, 0, 0): 1 for k in range(7)})
+
+
+def test_expand_term_plus_numerator():
+    # -y (1 + x)(1 + x y) = -y - x y - x y^2 - x^2 y^2, and the form
+    # -x y (1 + 1/x)(1 + x y), whose first factor has negative degree
+    s = expand_term(ID3, 6, -1, (0, 1, 0),
+                    [((1, 0, 0), 1, False), ((1, 1, 0), 1, False)])
+    assert s == GradedSeries.from_terms(
+        ID3, 6, {(0, 1, 0): -1, (1, 1, 0): -1, (1, 2, 0): -1, (2, 2, 0): -1})
+    pulled = expand_term(ID3, 6, -1, (1, 1, 0),
+                         [((-1, 0, 0), 1, False), ((1, 1, 0), 1, False)])
+    assert pulled == s
 
 
 def test_expand_term_beyond_cutoff_is_zero():
-    assert expand_term(ID3, 2, 1, (3, 0, 0), dens=[(0, 1, 0)]).is_zero()
+    assert expand_term(ID3, 2, 1, (3, 0, 0), [((0, 1, 0), 1, True)]).is_zero()
 
 
 # -- ring_sum ----------------------------------------------------------------
@@ -423,7 +448,6 @@ def test_expand_term_beyond_cutoff_is_zero():
 def test_ring_sum_stops_at_first_empty_ring():
     # a finite group's ring 1 is empty; ring 2 would contribute but must
     # never be reached, and an all-zero ring stops the sum the same way
-    QL = q_lattice()
     one, zero = GradedSeries.one(QL, 6), GradedSeries.zero(QL, 6)
     q = GradedSeries.from_terms(QL, 6, {(1,): 1})
     for ring1 in ([], [zero, zero]):
@@ -438,7 +462,6 @@ def test_ring_sum_stops_at_first_empty_ring():
 
 
 def test_ring_sum_raises_when_a_ring_past_its_bound_contributes():
-    QL = q_lattice()
     one = GradedSeries.one(QL, 4)
     with pytest.raises(SeriesError):
         ring_sum(lambda k: [one])      # a nonzero monomial forever
@@ -674,6 +697,8 @@ def test_serialize_bytes_equal_json_dumps():
     '{"rank": true, "K": [[1]], "cutoff": 3, "terms": []}',
     # above the ceiling: rejected before one dict per degree is allocated
     f'{{"rank": 1, "K": [[1]], "cutoff": {MAX_CUTOFF + 1}, "terms": []}}',
+    # nested deeper than the JSON decoder recurses
+    pytest.param("[" * 100000 + "]" * 100000, id="deeply-nested"),
 ])
 def test_deserialize_rejects_malformed(text):
     with pytest.raises(SeriesError):
