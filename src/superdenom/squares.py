@@ -1,10 +1,11 @@
 """Theta series, the Gauss identity and the eight-squares count.
 
-The square-count oracle deliberately stays away from the theta machinery:
-r8 is obtained by brute-force enumeration of four-dimensional integer
-vectors (each coordinate bounded by what the earlier ones leave of the
-norm) paired against itself, and checked against the eighth power of theta
-and against the twisted cubic divisor sum.
+The square-count oracle deliberately stays away from the theta machinery
+and from `series`: r8 is obtained by direct enumeration of
+four-dimensional integer vectors, over the orthant of nonnegative
+coordinates with each vector counted for its sign patterns, paired against
+itself by a plain list convolution, and checked against the eighth power
+of theta and against the twisted cubic divisor sum.
 """
 
 from __future__ import annotations
@@ -46,23 +47,23 @@ def _conv(a: list[int], b: list[int], order: int) -> list[int]:
 def _count4_enumeration(order: int) -> list[int]:
     """Number of v in Z^4 with |v|^2 = n, by direct enumeration.
 
-    Each coordinate runs over the integers whose square fits in what the
-    earlier coordinates leave of the order, so every point visited counts.
+    Visits the vectors with nonnegative coordinates, each coordinate running
+    over what the earlier ones leave of the order, and counts each for its
+    2^k sign patterns, k its number of nonzero coordinates.  Each sign
+    pattern is a distinct vector of the same norm, so every v in Z^4 is
+    counted once.
     """
     out = [0] * (order + 1)
     isqrt = math.isqrt
-    r1 = isqrt(order)
-    for v1 in range(-r1, r1 + 1):
-        n1 = v1 * v1
-        r2 = isqrt(order - n1)
-        for v2 in range(-r2, r2 + 1):
-            n2 = n1 + v2 * v2
-            r3 = isqrt(order - n2)
-            for v3 in range(-r3, r3 + 1):
-                n3 = n2 + v3 * v3
-                r4 = isqrt(order - n3)
-                for v4 in range(-r4, r4 + 1):
-                    out[n3 + v4 * v4] += 1
+    for v1 in range(isqrt(order) + 1):
+        n1, w1 = v1 * v1, 2 if v1 else 1
+        for v2 in range(isqrt(order - n1) + 1):
+            n2, w2 = n1 + v2 * v2, 2 * w1 if v2 else w1
+            for v3 in range(isqrt(order - n2) + 1):
+                n3, w3 = n2 + v3 * v3, 2 * w2 if v3 else w2
+                out[n3] += w3
+                for v4 in range(1, isqrt(order - n3) + 1):
+                    out[n3 + v4 * v4] += 2 * w3
     return out
 
 

@@ -15,8 +15,10 @@ is P' over the wrong one, which first differs from 1 at that same degree;
 an sl(2|1) case by the sl(2|1) check.  Each orbit-side case drops ring n
 of an orbit sum, which must be reported at the lowest degree of that ring.
 The Weyl-action cases break `roots.translate` or `roots.reflect`, which
-the closed-form orbit sum does not use.  The eight-squares case breaks the
-sign-twisted divisor formula, which `jacobi` must flag row by row.
+the closed-form orbit sum does not use.  The eight-squares cases break the
+sign-twisted divisor formula or the theta series, which `jacobi` must flag
+row by row from the lowest failing n, or the Gauss product, which it must
+flag on its gauss and intermediate line.
 """
 
 import pytest
@@ -25,7 +27,7 @@ from oracles import inner
 from superdenom import cli, squares
 from superdenom import identities as ids
 from superdenom import roots
-from superdenom.series import SeriesError
+from superdenom.series import GradedSeries, SeriesError
 
 
 # table: its lattice and the degree of its step
@@ -140,3 +142,34 @@ def test_untwisted_companion_formula_is_caught(monkeypatch, capsys):
                          "n=2: 112 112 112 ok"]
     assert [line.endswith("MISMATCH") for line in lines[:9]] == [
         n % 2 == 1 for n in range(9)]
+
+
+def test_theta_without_its_q4_term_is_caught(monkeypatch, fresh_caches, capsys):
+    # theta without 2 q^4 loses the vectors with one coordinate +-2 and the
+    # rest 0 from theta^8 at q^4: 16 of r8(4) = 1136
+    theta = squares.theta
+
+    def broken(order, sign=1):
+        t = theta(order, sign)
+        return GradedSeries.from_terms(
+            t.lattice, order, {e: c for _, e, c in t.items_canonical() if e != (4,)})
+
+    monkeypatch.setattr(squares, "theta", broken)
+    assert cli.main(["jacobi", "--max-n", "8"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.endswith(" ok") for line in lines[:4]] == [True] * 4
+    assert lines[4] == "n=4: 1136 1120 1136 MISMATCH"
+
+
+def test_flipped_inverse_pochhammer_sign_is_caught(monkeypatch, fresh_caches, capsys):
+    # dividing by (q; q) instead of (-q; q) makes the Gauss product 1, which
+    # is neither theta(-q) nor the intermediate identity's right side
+    pochhammer = squares.apply_pochhammer
+    monkeypatch.setattr(
+        squares, "apply_pochhammer",
+        lambda s, head, step, sign, inverse=False:
+            pochhammer(s, head, step, -sign if inverse else sign, inverse))
+    assert cli.main(["jacobi", "--max-n", "8"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert all(line.endswith(" ok") for line in lines[:-1])
+    assert lines[-1] == "gauss: MISMATCH; intermediate: MISMATCH"

@@ -621,12 +621,60 @@ def test_apply_binomials_matches_reference(case, data):
     assert _coord_terms(s) == ts
 
 
+# A rank-1 series runs `mul` and `_apply` on its coefficient list, every
+# other rank on the slice kernel.  Dense q-series of the sizes `jacobi`
+# reaches, as `QL` series and as the same coefficients on the axis
+# (n, 0, 0) of ID3, must agree term by term under each operation the
+# eight-squares check uses.
+
+
+def _dense_q_pair(rng, cutoff):
+    coeffs = list(enumerate(rng.randint(-10 ** 6, 10 ** 6) for _ in range(cutoff + 1)))
+    return (GradedSeries.from_terms(QL, cutoff, {(n,): c for n, c in coeffs}),
+            GradedSeries.from_terms(ID3, cutoff, {(n, 0, 0): c for n, c in coeffs}))
+
+
+def _q_terms(s):
+    """{degree: coefficient} of a QL series, or of an ID3 series on the
+    axis (n, 0, 0)."""
+    terms = {}
+    for _, e, c in s.items_canonical():
+        assert not any(e[1:])
+        terms[e[0]] = c
+    return terms
+
+
+@pytest.mark.parametrize("cutoff", [64, 224])
+def test_rank1_list_path_matches_slice_kernel(cutoff):
+    rng = random.Random(cutoff)
+    (a, a3), (b, b3) = _dense_q_pair(rng, cutoff), _dense_q_pair(rng, cutoff)
+    assert _q_terms(mul(a, b)) == _q_terms(mul(a3, b3))
+    assert _q_terms(mul(a, a)) == _q_terms(mul(a3, a3))
+    for head, step in (((1,), (1,)), ((1,), (2,)), ((3,), (2,))):
+        for sign in (-1, 1):
+            for inverse in (False, True):
+                got = apply_pochhammer(a, head, step, sign, inverse)
+                want = apply_pochhammer(a3, head + (0, 0), step + (0, 0), sign, inverse)
+                assert _q_terms(got) == _q_terms(want)
+    factors = [(d, rng.choice([-1, 1]), rng.choice([False, True]))
+               for d in (1, 2, 1, 7, cutoff, cutoff + 1)]
+    got = apply_binomials(a, [((d,), sign, inv) for d, sign, inv in factors])
+    want = apply_binomials(a3, [((d, 0, 0), sign, inv) for d, sign, inv in factors])
+    assert _q_terms(got) == _q_terms(want)
+    # the inputs are left untouched
+    assert _q_terms(a) == _q_terms(a3)
+
+
 # -- serialization -----------------------------------------------------------
 
 
 def test_serialize_round_trip():
+    # the exponents are computed column by column, so the lattices include
+    # Kinv entries -1 (the skew rank-2 lattice, SL21, GL) and beyond +-1
     rng = random.Random(3)
-    for lattice in (GL, ID3, QL):
+    wide = LatticeSpec(3, ((1, 2, 0), (0, 1, 3), (0, 0, 1)))
+    assert any(abs(w) > 1 for row in wide.Kinv for w in row)
+    for lattice in (*KERNEL_LATTICES, ID3, wide):
         for _ in range(10):
             s = _random_series(rng, lattice, 7, 5)
             assert deserialize(serialize(s)) == s
