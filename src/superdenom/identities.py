@@ -19,7 +19,6 @@ from .series import (
     GradedSeries,
     apply_binomials,
     apply_pochhammer,
-    expand_term,
     mul,
     ring_sum,
 )
@@ -239,11 +238,10 @@ def prefactor_fn_series(order: int) -> GradedSeries:
     return GradedSeries.from_terms(GL, order, terms)
 
 
-def _closed_orbit_term(order: int, n: int):
-    return [expand_term(GL, order, 1, (n, 0, 0, 0),
-                        [((n, 0, 1, 0), 1, True), ((n, 0, 0, 1), 1, True)]),
-            expand_term(GL, order, -1, (n, 1, 0, 0),
-                        [((n, 1, 1, 0), 1, True), ((n, 1, 0, 1), 1, True)])]
+def _closed_ring(n: int):
+    """The terms (sign, base, factors) of translation power n, on GL."""
+    return [(1, (n, 0, 0, 0), [((n, 0, 1, 0), 1, True), ((n, 0, 0, 1), 1, True)]),
+            (-1, (n, 1, 0, 0), [((n, 1, 1, 0), 1, True), ((n, 1, 0, 1), 1, True)])]
 
 
 @lru_cache(maxsize=None)
@@ -256,7 +254,7 @@ def build_orbit_sum(order: int) -> GradedSeries:
     elements to the seed weight by weight (`roots.WeylElement.apply`), so
     it does not rely on that derivation.
     """
-    return ring_sum(lambda n: _closed_orbit_term(order, n))
+    return ring_sum(GL, order, _closed_ring)
 
 
 @lru_cache(maxsize=None)
@@ -311,16 +309,15 @@ def build_sl21_lhs(order: int) -> GradedSeries:
     return _product(SL21, order, _SL21_PRODUCT)
 
 
-def _sl21_ring(order: int, n: int):
+def _sl21_ring(n: int):
     # z^{n^2} e^{-n alpha'} / (1 + z^n u1)  -  z^{n^2} e^{n alpha'} / (1 + z^n u2^{-1})
-    t1 = expand_term(SL21, order, 1, (n * n, n, n), [((n, 1, 0), 1, True)])
-    t2 = expand_term(SL21, order, -1, (n * n, -n, -n), [((n, 0, -1), 1, True)])
-    return [t1, t2]
+    return [(1, (n * n, n, n), [((n, 1, 0), 1, True)]),
+            (-1, (n * n, -n, -n), [((n, 0, -1), 1, True)])]
 
 
 @lru_cache(maxsize=None)
 def build_sl21_rhs(order: int) -> GradedSeries:
-    return ring_sum(lambda n: _sl21_ring(order, n))
+    return ring_sum(SL21, order, _sl21_ring)
 
 
 def verify_sl21(order: int) -> dict:

@@ -204,11 +204,15 @@ def weight_to_exp(lam: Weight):
     return (-n // 2, -a // 2, -b1 // 2, -b2 // 2)
 
 
+def normalized_term(term: OrbitTerm):
+    """e^{-rho} * term as the (sign, base, factors) that `expand_term` takes."""
+    return (term.sign, weight_to_exp(term.top - RHO),
+            [(weight_to_exp(-v), s, inverse) for v, s, inverse in term.factors])
+
+
 def expand_orbit_term(term: OrbitTerm, cutoff: int) -> GradedSeries:
     """Expansion of e^{-rho} * term as a cone-supported series on GL."""
-    return expand_term(GL, cutoff, term.sign, weight_to_exp(term.top - RHO),
-                       [(weight_to_exp(-v), s, inverse)
-                        for v, s, inverse in term.factors])
+    return expand_term(GL, cutoff, *normalized_term(term))
 
 
 _FINITE_GROUPS = {
@@ -238,6 +242,5 @@ def orbit_sum(group: str, seed: OrbitTerm, cutoff: int) -> GradedSeries:
     Group elements are visited ring by ring in the translation power, by
     `ring_sum`.
     """
-    return ring_sum(
-        lambda k: [expand_orbit_term(apply_weyl_term(w, seed), cutoff)
-                   for w in _ring(group, k)])
+    return ring_sum(GL, cutoff, lambda k: [normalized_term(apply_weyl_term(w, seed))
+                                           for w in _ring(group, k)])

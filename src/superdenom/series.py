@@ -46,8 +46,7 @@ import operator
 # Largest cutoff accepted from outside input (`deserialize`, the CLI
 # `--order` and `--max-n`).  A series allocates one dict per degree up to its
 # cutoff, and the product side grows roughly like N**4.5: at N = 224,
-# `verify-denom` takes about a minute and `ratio-support` about 40 s (see
-# README.md).
+# `verify-denom` and `ratio-support` take about 16 s each (see README.md).
 MAX_CUTOFF = 224
 
 
@@ -504,29 +503,30 @@ def expand_term(lattice: LatticeSpec, cutoff: int, sign: int, base,
                            out)
 
 
-def ring_sum(terms) -> GradedSeries:
-    """Sum of the series that terms(k) lists, over all integers k.
+def ring_sum(lattice: LatticeSpec, cutoff: int, ring) -> GradedSeries:
+    """Sum of the orbit terms that ring(k) lists, over all integers k.
 
-    terms(k) lists the series of translation power k; terms(0) must list
-    at least one, which fixes the lattice and cutoff of the sum.  The sum
-    visits ring n, the powers +-n, for n = 0, 1, 2, ... and stops at the
-    first ring n > 0 whose series are all zero below the cutoff.  A ring
-    past the bound, the cutoff itself, that still contributes raises
-    SeriesError, so a sum that would not terminate fails instead.
+    ring(k) lists the terms of translation power k as the (sign, base,
+    factors) that `expand_term` expands on lattice to cutoff; an empty sum
+    is zero.  The sum visits ring n, the powers +-n, for n = 0, 1, 2, ...
+    and stops at the first ring n > 0 whose terms are all zero below the
+    cutoff.  A ring past the bound, the cutoff itself, that still
+    contributes raises SeriesError, so a sum that would not terminate fails.
     """
-    parts = list(terms(0))
+    def expand(k):
+        return [expand_term(lattice, cutoff, *t) for t in ring(k)]
+    parts = [GradedSeries.zero(lattice, cutoff), *expand(0)]
     # A ring contributes only if its lowest degree is at most the cutoff.
-    # Ring n >= 1 starts at degree 4n - 3 in the closed, What_alpha, T_alpha
-    # and T_gamma sums and at 3n^2 - 2n in the sl(2|1) sum, both at least n,
-    # so no ring past the cutoff contributes.
-    bound = parts[0].cutoff
+    # Ring n >= 1 starts at degree 4n - 3 in the closed, What_alpha,
+    # What_gamma, T_alpha and T_gamma sums and at 3n^2 - 2n in the sl(2|1)
+    # sum, both at least n, so no ring past the cutoff contributes.
     n = 1
     while True:
-        live = [t for k in (n, -n) for t in terms(k) if not t.is_zero()]
+        live = [t for k in (n, -n) for t in expand(k) if not t.is_zero()]
         if not live:
             return linear_combine((1, t) for t in parts)
-        if n > bound:
-            raise SeriesError(f"ring {n} past the bound {bound} still contributes")
+        if n > cutoff:
+            raise SeriesError(f"ring {n} past the bound {cutoff} still contributes")
         parts += live
         n += 1
 

@@ -83,15 +83,14 @@ def test_squared_step_is_caught(monkeypatch, fresh_caches, table, i):
 
 
 def _drop_ring(monkeypatch, name, n):
-    terms = getattr(ids, name)
-    monkeypatch.setattr(ids, name,
-                        lambda order, k: [] if abs(k) == n else terms(order, k))
+    ring = getattr(ids, name)
+    monkeypatch.setattr(ids, name, lambda k: [] if abs(k) == n else ring(k))
 
 
 @pytest.mark.parametrize("n, degree", [(1, 1), (2, 5), (3, 9)])
 def test_dropped_closed_orbit_ring_is_caught(monkeypatch, fresh_caches, n, degree):
     # ring n of the closed orbit sum starts at degree 4n - 3
-    _drop_ring(monkeypatch, "_closed_orbit_term", n)
+    _drop_ring(monkeypatch, "_closed_ring", n)
     rep = ids.verify_denominator(12)
     assert not rep["matched"]
     assert ids.GL.degree(rep["first_diffs"][0]["e"]) == degree

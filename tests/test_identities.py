@@ -203,6 +203,29 @@ def test_orbit_sum_methods_agree(order):
     assert closed == roots.orbit_sum("What_gamma", roots.STANDARD_SEED, order)
 
 
+def _rings(ring, n, order=40):
+    """The expansion of the terms of rings n and -n, ring 0 once."""
+    return linear_combine((1, expand_term(GL, order, *t))
+                          for k in sorted({n, -n}) for t in ring(k))
+
+
+def _weyl_ring(group):
+    seed = roots.STANDARD_SEED
+    return lambda k: [roots.normalized_term(roots.apply_weyl_term(w, seed))
+                      for w in roots._ring(group, k)]
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_closed_rings_are_the_weyl_rings(n):
+    # ring by ring, not only in total: the closed terms of translation
+    # power +-n are those the What_alpha and What_gamma elements give
+    closed = _rings(ids._closed_ring, n)
+    assert closed == _rings(_weyl_ring("What_alpha"), n)
+    assert closed == _rings(_weyl_ring("What_gamma"), n)
+    # ring n >= 1 starts at degree 4n - 3, the bound `ring_sum` relies on
+    assert min(GL.degree(e) for e in closed.support()) == max(4 * n - 3, 0)
+
+
 def test_orbit_sum_leading_terms():
     s = ids.build_orbit_sum(8)
     # degree 0: the n = 0 identity term contributes 1, s_alpha nothing

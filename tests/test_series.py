@@ -445,31 +445,43 @@ def test_expand_term_beyond_cutoff_is_zero():
 # -- ring_sum ----------------------------------------------------------------
 
 
+# terms (sign, base, factors) on QL: 1, q, and 1 * (1 - 1) = 0
+ONE, Q1, ZERO = (1, (0,), []), (1, (1,), []), (1, (0,), [((0,), -1, False)])
+
+
 def test_ring_sum_stops_at_first_empty_ring():
     # a finite group's ring 1 is empty; ring 2 would contribute but must
     # never be reached, and an all-zero ring stops the sum the same way
-    one, zero = GradedSeries.one(QL, 6), GradedSeries.zero(QL, 6)
+    one = GradedSeries.one(QL, 6)
     q = GradedSeries.from_terms(QL, 6, {(1,): 1})
-    for ring1 in ([], [zero, zero]):
+    for ring1 in ([], [ZERO, ZERO]):
         visited = []
 
-        def terms(k):
+        def ring(k):
             visited.append(k)
-            return {0: [one, q], 1: ring1, -1: ring1}.get(k, [q])
+            return {0: [ONE, Q1], 1: ring1, -1: ring1}.get(k, [Q1])
 
-        assert ring_sum(terms) == linear_combine([(1, one), (1, q)])
+        assert ring_sum(QL, 6, ring) == linear_combine([(1, one), (1, q)])
         assert visited == [0, 1, -1]
 
 
 def test_ring_sum_raises_when_a_ring_past_its_bound_contributes():
     one = GradedSeries.one(QL, 4)
     with pytest.raises(SeriesError):
-        ring_sum(lambda k: [one])      # a nonzero monomial forever
+        ring_sum(QL, 4, lambda k: [ONE])      # a nonzero monomial forever
     # the bound is the cutoff 4: rings 1..4 may contribute, ring 5 may not
-    four = lambda k: [one] if abs(k) <= 4 else []
-    assert ring_sum(four) == linear_combine([(9, one)])
+    four = lambda k: [ONE] if abs(k) <= 4 else []
+    assert ring_sum(QL, 4, four) == linear_combine([(9, one)])
     with pytest.raises(SeriesError, match="ring 5 past the bound 4"):
-        ring_sum(lambda k: [one] if abs(k) <= 5 else [])
+        ring_sum(QL, 4, lambda k: [ONE] if abs(k) <= 5 else [])
+
+
+def test_ring_sum_of_no_terms_is_zero():
+    # the lattice and cutoff come from the arguments, not from ring 0;
+    # equality compares both
+    for lattice, cutoff in ((QL, 0), (SL21, 5), (GL, 8)):
+        zero = GradedSeries.zero(lattice, cutoff)
+        assert ring_sum(lattice, cutoff, lambda k: []) == zero
 
 
 # -- property suites ---------------------------------------------------------
