@@ -31,11 +31,11 @@ constants `GL`, `SL21` and `QL`, and every binomial factor
 (1 + s*m)**(-1 if inverse else 1) is a (raw exponents of m, s, inverse)
 triple.
 
-On a rank-1 lattice such as `QL` a key is its one coordinate, which is its
-degree, so slice d holds at most the key d.  There `mul` and `_apply` read
-the slices into one coefficient list, index = degree, work on the list,
-and write the result back as one-term slices: a product of dense q-series
-would otherwise pay the kernel's per-slice cost once per term.
+Every rank, 1 included, runs on the slice kernel `_add_shifted`: on a
+rank-1 lattice such as `QL` a key is its one coordinate, which is its
+degree, so slice d holds at most the key d.  The eight-squares check in
+`squares` keeps its q-series as plain coefficient lists and does not use
+this module.
 """
 
 from __future__ import annotations
@@ -184,9 +184,8 @@ def _add_shifted(dsts, srcs, m, scale):
     """dst += scale * t * src in place for every pair of zip(dsts, srcs), in
     that order, t the monomial of packed key m.
 
-    The one loop over the terms of a series of rank 2 or more: every
-    series operation there is a few calls of it over whole lists of degree
-    slices (rank 1 works on a coefficient list, see `mul` and `_apply`).
+    The one loop over the terms of a series: every series operation, at
+    every rank, is a few calls of it over whole lists of degree slices.
     Skips empty sources and drops every coefficient that cancels to 0.
     Every term of a source must be nonzero and land at most at the cutoff,
     so the key sum does not carry.  A source may be a destination of an
@@ -368,33 +367,10 @@ def linear_combine(pairs) -> GradedSeries:
     return GradedSeries._of(first.lattice, first.cutoff, out)
 
 
-def _coeffs(s: GradedSeries):
-    """The coefficient list of a rank-1 series, index = degree.
-
-    On a rank-1 lattice a key is its one cone coordinate, which is its
-    degree, so slice d holds at most the key d.
-    """
-    return [sl.get(d, 0) for d, sl in enumerate(s._slices)]
-
-
-def _of_coeffs(lattice: LatticeSpec, coeffs) -> GradedSeries:
-    """The rank-1 series of a coefficient list, inverse of `_coeffs`."""
-    return GradedSeries._of(lattice, len(coeffs) - 1,
-                            [{d: c} if c else {} for d, c in enumerate(coeffs)])
-
-
 def mul(a: GradedSeries, b: GradedSeries) -> GradedSeries:
     """Exact product of series of one lattice and one cutoff, truncated
-    there.
-
-    A rank-1 product convolves the two coefficient lists: one sum per
-    degree instead of one kernel call per term.
-    """
+    there."""
     _check_same_ring(a, b)
-    if a.lattice.rank == 1:
-        ca, cb = _coeffs(a), _coeffs(b)
-        return _of_coeffs(a.lattice, [sum(map(operator.mul, ca[:d + 1], cb[d::-1]))
-                                      for d in range(a.cutoff + 1)])
     out = _empty(a.cutoff)
     for da, sa in enumerate(a._slices):
         if sa:
@@ -425,20 +401,7 @@ def _apply(s: GradedSeries, factors) -> GradedSeries:
     degrees.  A division walks the degrees from low to high: quotient slice
     d is slice d minus sign * t times the finished quotient slice d - dm,
     which the same call wrote at an earlier pair.
-
-    A rank-1 series runs the same passes on its coefficient list, where the
-    key of t is its degree dm: a multiplication is one comprehension over
-    the old list shifted by dm, a division one ascending loop in place.
     """
-    if s.lattice.rank == 1:
-        c = _coeffs(s)
-        for dm, _, sign, inverse in factors:
-            if inverse:
-                for d in range(dm, len(c)):
-                    c[d] -= sign * c[d - dm]
-            else:
-                c[dm:] = [x + sign * y for x, y in zip(c[dm:], c)]
-        return _of_coeffs(s.lattice, c)
     slices = [dict(sl) for sl in s._slices]
     for dm, m, sign, inverse in factors:
         if inverse:

@@ -1,47 +1,64 @@
 """Theta series, the Gauss identity and the eight-squares count.
 
-The square-count oracle deliberately stays away from the theta machinery
-and from `series`: r8 is obtained by direct enumeration of
-four-dimensional integer vectors, over the orthant of nonnegative
-coordinates with each vector counted for its sign patterns, paired against
-itself by a plain list convolution, and checked against the eighth power
-of theta and against the twisted cubic divisor sum.
+Every q-series here is a plain list of int coefficients, index = degree,
+truncated at the order: one list convolution, `_conv`, multiplies two of
+them and one list Pochhammer, `_pochhammer`, builds the Gauss product.  The
+module imports nothing from `series`, so the eight-squares check shares no
+arithmetic with the slice kernel behind the denominator identities.
+
+The square-count oracle deliberately stays away from the theta machinery:
+r8 is obtained by direct enumeration of four-dimensional integer vectors,
+over the orthant of nonnegative coordinates with each vector counted for
+its sign patterns, paired against itself by the list convolution, and
+checked against the eighth power of theta and against the twisted cubic
+divisor sum.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
-
-from .series import QL, GradedSeries, apply_pochhammer, mul
+import operator
 
 
-@lru_cache(maxsize=None)
-def theta(order: int, sign: int = 1) -> GradedSeries:
+def _conv(a: list[int], b: list[int]) -> list[int]:
+    """Product of two coefficient lists of one order, truncated there: one
+    sum per degree d over the pairs of degrees that add up to d."""
+    return [sum(map(operator.mul, a[:d + 1], b[d::-1])) for d in range(len(a))]
+
+
+def _pochhammer(c: list[int], sign: int, inverse: bool = False) -> list[int]:
+    """c times (or, if inverse, divided by) prod_{n>=1} (1 + sign q^n), as a
+    new list of the same order.
+
+    Only factors of degree up to the order differ from 1 below the
+    truncation.  A multiplication by 1 + sign q^d adds the list shifted up
+    by d; a division walks the degrees up, each coefficient less sign times
+    the finished quotient coefficient d below it.
+    """
+    c = list(c)
+    for d in range(1, len(c)):
+        if inverse:
+            for n in range(d, len(c)):
+                c[n] -= sign * c[n - d]
+        else:
+            c[d:] = [x + sign * y for x, y in zip(c[d:], c)]
+    return c
+
+
+def theta(order: int, sign: int = 1) -> list[int]:
     """sum_j (sign*q)^{j^2}, truncated."""
-    terms = {(0,): 1}
-    j = 1
-    while j * j <= order:
-        terms[(j * j,)] = 2 * (sign ** (j * j))
-        j += 1
-    return GradedSeries.from_terms(QL, order, terms)
+    coeffs = [0] * (order + 1)
+    coeffs[0] = 1
+    for j in range(1, math.isqrt(order) + 1):
+        coeffs[j * j] = 2 * (sign ** (j * j))
+    return coeffs
 
 
-@lru_cache(maxsize=None)
-def theta_power8(order: int, sign: int = 1) -> GradedSeries:
-    t2 = mul(theta(order, sign), theta(order, sign))
-    t4 = mul(t2, t2)
-    return mul(t4, t4)
-
-
-def _conv(a: list[int], b: list[int], order: int) -> list[int]:
-    out = [0] * (order + 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j in range(0, order - i + 1):
-                if b[j]:
-                    out[i + j] += ai * b[j]
-    return out
+def theta_power8(order: int, sign: int = 1) -> list[int]:
+    t = theta(order, sign)
+    t2 = _conv(t, t)
+    t4 = _conv(t2, t2)
+    return _conv(t4, t4)
 
 
 def _count4_enumeration(order: int) -> list[int]:
@@ -71,17 +88,16 @@ def r8_oracle(order: int) -> list[int]:
     """r8(0..order): ordered representations as a sum of eight squares,
     the enumerated four-square counts convolved with themselves."""
     c4 = _count4_enumeration(order)
-    return _conv(c4, c4, order)
+    return _conv(c4, c4)
 
 
-def gauss_series(order: int) -> GradedSeries:
-    """(1-q)_q^inf / (1+q)_q^inf as a truncated series."""
-    s = GradedSeries.one(QL, order)
-    s = apply_pochhammer(s, (1,), (1,), -1)
-    return apply_pochhammer(s, (1,), (1,), +1, inverse=True)
+def gauss_series(order: int) -> list[int]:
+    """(1-q)_q^inf / (1+q)_q^inf, truncated."""
+    one = [1] + [0] * order
+    return _pochhammer(_pochhammer(one, -1), +1, inverse=True)
 
 
-def jacobi_formula(order: int, twist: bool = False) -> GradedSeries:
+def jacobi_formula(order: int, twist: bool = False) -> list[int]:
     """1 + 16 sum_{j,k>=1} (-1)^{(j+1)k} k^3 q^{jk}.
 
     With twist=True, the companion form 1 + 16 sum (-1)^k k^3 q^{jk}
@@ -93,8 +109,7 @@ def jacobi_formula(order: int, twist: bool = False) -> GradedSeries:
         for k in range(1, order // j + 1):
             s = (-1) ** k if twist else (-1) ** ((j + 1) * k)
             coeffs[j * k] += 16 * s * k ** 3
-    return GradedSeries.from_terms(QL, order,
-                                   {(n,): c for n, c in enumerate(coeffs) if c})
+    return coeffs
 
 
 def _binom_inv4(j: int) -> int:
@@ -102,25 +117,24 @@ def _binom_inv4(j: int) -> int:
     return (-1) ** j * (j + 1) * (j + 2) * (j + 3) // 6
 
 
-def intermediate_identity(order: int) -> tuple[GradedSeries, GradedSeries]:
+def intermediate_identity(g: list[int]) -> tuple[list[int], list[int]]:
     """Both sides of the evaluated identity:
     ((1-q)_q^inf/(1+q)_q^inf)^8 = 1 - 16 sum_n q^n (q^{2n} - 4 q^n + 1)/(1+q^n)^4,
-    with every (1+q^n)^{-4} expanded by the cubic binomial series."""
-    g = gauss_series(order)
-    g2 = mul(g, g)
-    g4 = mul(g2, g2)
-    lhs = mul(g4, g4)
-    coeffs = [0] * (order + 1)
-    coeffs[0] = 1
+    with every (1+q^n)^{-4} expanded by the cubic binomial series, to the
+    order of g, the Gauss product `gauss_series`."""
+    order = len(g) - 1
+    g2 = _conv(g, g)
+    g4 = _conv(g2, g2)
+    lhs = _conv(g4, g4)
+    rhs = [0] * (order + 1)
+    rhs[0] = 1
     for n in range(1, order + 1):
         for j in range(0, (order - n) // n + 1):
             b = _binom_inv4(j)
             for shift, w in ((2 * n, 1), (n, -4), (0, 1)):
                 e = n + shift + j * n
                 if e <= order:
-                    coeffs[e] += -16 * w * b
-    rhs = GradedSeries.from_terms(QL, order,
-                                  {(n,): c for n, c in enumerate(coeffs) if c})
+                    rhs[e] += -16 * w * b
     return lhs, rhs
 
 
@@ -131,20 +145,17 @@ def verify_jacobi(order: int) -> dict:
     Row n compares r8(n) by enumeration, from theta^8 and from the divisor
     formula; it matches only if the sign-twisted companion, theta(-q)^8
     against the twisted formula, also agrees at q^n.  The Gauss identity
-    is checked to at least order 100.
+    is checked to at least order 100, and the intermediate identity on the
+    prefix of that one Gauss product.
     """
-    enum = r8_oracle(order)
-    t8, formula = theta_power8(order), jacobi_formula(order)
-    t8_twisted = theta_power8(order, -1)
-    formula_twisted = jacobi_formula(order, twist=True)
-    rows = []
-    for n in range(order + 1):
-        a, b, c = enum[n], t8.coeff((n,)), formula.coeff((n,))
-        twisted_ok = t8_twisted.coeff((n,)) == formula_twisted.coeff((n,))
-        rows.append({"n": n, "r8_enum": a, "r8_theta": b, "r8_formula": c,
-                     "match": a == b == c and twisted_ok})
+    columns = zip(r8_oracle(order), theta_power8(order), jacobi_formula(order),
+                  theta_power8(order, -1), jacobi_formula(order, twist=True))
+    rows = [{"n": n, "r8_enum": a, "r8_theta": b, "r8_formula": c,
+             "match": a == b == c and twisted == formula_twisted}
+            for n, (a, b, c, twisted, formula_twisted) in enumerate(columns)]
     n_gauss = max(order, 100)
-    inter_lhs, inter_rhs = intermediate_identity(order)
+    gauss = gauss_series(n_gauss)
+    inter_lhs, inter_rhs = intermediate_identity(gauss[:order + 1])
     return {"rows": rows, "all_match": all(r["match"] for r in rows),
-            "gauss": gauss_series(n_gauss) == theta(n_gauss, -1),
+            "gauss": gauss == theta(n_gauss, -1),
             "intermediate": inter_lhs == inter_rhs}

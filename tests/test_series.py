@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import ID3, degree_slice, from_coords, invert, restrict
 
+from superdenom import squares
 from superdenom.report import compare_series
 from superdenom.series import (
     GL,
@@ -633,48 +634,53 @@ def test_apply_binomials_matches_reference(case, data):
     assert _coord_terms(s) == ts
 
 
-# A rank-1 series runs `mul` and `_apply` on its coefficient list, every
-# other rank on the slice kernel.  Dense q-series of the sizes `jacobi`
-# reaches, as `QL` series and as the same coefficients on the axis
-# (n, 0, 0) of ID3, must agree term by term under each operation the
-# eight-squares check uses.
+# `squares` keeps its q-series as plain coefficient lists, index = degree,
+# and every series rank, 1 included, runs on the slice kernel.  Dense
+# q-series of the sizes `jacobi` reaches, as lists, as `QL` series and as
+# the same coefficients on the axis (n, 0, 0) of ID3, must agree under each
+# operation the eight-squares check uses: the kernel is the reference for
+# the list arithmetic.
 
 
-def _dense_q_pair(rng, cutoff):
-    coeffs = list(enumerate(rng.randint(-10 ** 6, 10 ** 6) for _ in range(cutoff + 1)))
-    return (GradedSeries.from_terms(QL, cutoff, {(n,): c for n, c in coeffs}),
-            GradedSeries.from_terms(ID3, cutoff, {(n, 0, 0): c for n, c in coeffs}))
+def _dense_q(rng, cutoff):
+    coeffs = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(cutoff + 1)]
+    return (coeffs,
+            GradedSeries.from_terms(QL, cutoff, {(n,): c for n, c in enumerate(coeffs)}),
+            GradedSeries.from_terms(ID3, cutoff,
+                                    {(n, 0, 0): c for n, c in enumerate(coeffs)}))
 
 
-def _q_terms(s):
-    """{degree: coefficient} of a QL series, or of an ID3 series on the
-    axis (n, 0, 0)."""
-    terms = {}
+def _q_list(s):
+    """Coefficient list of a QL series, or of an ID3 series on the axis
+    (n, 0, 0)."""
+    out = [0] * (s.cutoff + 1)
     for _, e, c in s.items_canonical():
         assert not any(e[1:])
-        terms[e[0]] = c
-    return terms
+        out[e[0]] = c
+    return out
 
 
 @pytest.mark.parametrize("cutoff", [64, 224])
 def test_rank1_list_path_matches_slice_kernel(cutoff):
     rng = random.Random(cutoff)
-    (a, a3), (b, b3) = _dense_q_pair(rng, cutoff), _dense_q_pair(rng, cutoff)
-    assert _q_terms(mul(a, b)) == _q_terms(mul(a3, b3))
-    assert _q_terms(mul(a, a)) == _q_terms(mul(a3, a3))
-    for head, step in (((1,), (1,)), ((1,), (2,)), ((3,), (2,))):
-        for sign in (-1, 1):
-            for inverse in (False, True):
+    (ca, a, a3), (cb, b, b3) = _dense_q(rng, cutoff), _dense_q(rng, cutoff)
+    assert squares._conv(ca, cb) == _q_list(mul(a, b)) == _q_list(mul(a3, b3))
+    assert squares._conv(ca, ca) == _q_list(mul(a, a)) == _q_list(mul(a3, a3))
+    for sign in (-1, 1):
+        for inverse in (False, True):
+            assert squares._pochhammer(ca, sign, inverse) == _q_list(
+                apply_pochhammer(a3, (1, 0, 0), (1, 0, 0), sign, inverse))
+            for head, step in (((1,), (1,)), ((1,), (2,)), ((3,), (2,))):
                 got = apply_pochhammer(a, head, step, sign, inverse)
                 want = apply_pochhammer(a3, head + (0, 0), step + (0, 0), sign, inverse)
-                assert _q_terms(got) == _q_terms(want)
+                assert _q_list(got) == _q_list(want)
     factors = [(d, rng.choice([-1, 1]), rng.choice([False, True]))
                for d in (1, 2, 1, 7, cutoff, cutoff + 1)]
     got = apply_binomials(a, [((d,), sign, inv) for d, sign, inv in factors])
     want = apply_binomials(a3, [((d, 0, 0), sign, inv) for d, sign, inv in factors])
-    assert _q_terms(got) == _q_terms(want)
+    assert _q_list(got) == _q_list(want)
     # the inputs are left untouched
-    assert _q_terms(a) == _q_terms(a3)
+    assert _q_list(a) == _q_list(a3) == ca
 
 
 # -- serialization -----------------------------------------------------------

@@ -1,32 +1,36 @@
 """Theta series, the Gauss identity and the eight-squares count."""
 
+import ast
+import inspect
 import itertools
 import math
 
 from superdenom import squares
-from superdenom.series import MAX_CUTOFF, mul
-
-
-def theta8_coeffs(order):
-    t8 = squares.theta_power8(order)
-    return [t8.coeff((n,)) for n in range(order + 1)]
+from superdenom.series import MAX_CUTOFF, QL, GradedSeries, mul
 
 
 def test_theta_coefficients():
     t = squares.theta(20)
-    assert t.coeff((0,)) == 1
+    assert len(t) == 21 and t[0] == 1
     for n in (1, 4, 9, 16):
-        assert t.coeff((n,)) == 2
+        assert t[n] == 2
     for n in (2, 3, 5, 12, 20):
-        assert t.coeff((n,)) == 0
+        assert t[n] == 0
     tm = squares.theta(20, -1)
-    assert tm.coeff((1,)) == -2 and tm.coeff((4,)) == 2 and tm.coeff((9,)) == -2
+    assert tm[1] == -2 and tm[4] == 2 and tm[9] == -2
 
 
 def test_theta_power8_is_eighth_power():
-    t = squares.theta(16)
+    # series.mul on QL is the independent reference for the list convolution
+    t = GradedSeries.from_terms(QL, 16, {(n,): c for n, c in enumerate(squares.theta(16))})
     t2 = mul(t, t)
-    assert squares.theta_power8(16) == mul(mul(t2, t2), mul(t2, t2))
+    t8 = mul(mul(t2, t2), mul(t2, t2))
+    assert squares.theta_power8(16) == [t8.coeff((n,)) for n in range(17)]
+    # ... and squares shares no arithmetic with series
+    imported = {name for node in ast.walk(ast.parse(inspect.getsource(squares)))
+                if isinstance(node, ast.ImportFrom)
+                for name in [node.module or "", *(a.name for a in node.names)]}
+    assert not any("series" in name.split(".") for name in imported)
 
 
 def test_r8_spot_values():
@@ -36,15 +40,15 @@ def test_r8_spot_values():
     assert r8[2] == 112
     assert r8[3] == 448
     assert r8[4] == 1136
-    assert r8 == theta8_coeffs(8)
+    assert r8 == squares.theta_power8(8)
 
 
 def test_r8_oracles_agree_to_64():
-    assert squares.r8_oracle(64) == theta8_coeffs(64)
+    assert squares.r8_oracle(64) == squares.theta_power8(64)
 
 
 def test_r8_enumeration_at_max_cutoff():
-    assert squares.r8_oracle(MAX_CUTOFF) == theta8_coeffs(MAX_CUTOFF)
+    assert squares.r8_oracle(MAX_CUTOFF) == squares.theta_power8(MAX_CUTOFF)
 
 
 def test_bounded_count4_matches_unpruned_cube():
@@ -73,17 +77,19 @@ def test_count4_against_known_values():
 def test_gauss_identity_to_100():
     g = squares.gauss_series(100)
     assert g == squares.theta(100, -1)
-    assert g.coeff((0,)) == 1 and g.coeff((1,)) == -2
-    assert g.coeff((4,)) == 2 and g.coeff((100,)) == 2
-    assert g.coeff((99,)) == 0
+    assert len(g) == 101 and g[0] == 1 and g[1] == -2
+    assert g[4] == 2 and g[100] == 2
+    assert g[99] == 0
+    # `verify_jacobi` reads the product at a lower order as this prefix
+    assert g[:65] == squares.gauss_series(64)
 
 
 def test_jacobi_formula_spot_values():
     f = squares.jacobi_formula(8)
-    assert f.coeff((0,)) == 1
-    assert f.coeff((1,)) == 16
-    assert f.coeff((2,)) == 112
-    assert f.coeff((4,)) == 1136
+    assert f[0] == 1
+    assert f[1] == 16
+    assert f[2] == 112
+    assert f[4] == 1136
 
 
 def test_binomial_inverse_fourth_power():
@@ -91,11 +97,11 @@ def test_binomial_inverse_fourth_power():
 
 
 def test_intermediate_identity_to_64():
-    lhs, rhs = squares.intermediate_identity(64)
+    lhs, rhs = squares.intermediate_identity(squares.gauss_series(64))
     assert lhs == rhs
-    lhs, rhs = squares.intermediate_identity(8)
-    assert lhs.coeff((0,)) == 1
-    assert lhs.coeff((1,)) == -16
+    lhs, rhs = squares.intermediate_identity(squares.gauss_series(8))
+    assert lhs[0] == 1
+    assert lhs[1] == -16
 
 
 def test_verify_jacobi():
