@@ -129,9 +129,9 @@ def _positive_root_factors(order: int):
     positive affine root of degree <= order: (1 - e^{-root}) if the root is
     even, 1/(1 + e^{-root}) if odd.  Imaginary roots s*delta are even, with
     multiplicity 4 (the Cartan dimension); the finite roots and their
-    parities are the factors of `roots.R_RHO_SEED`."""
-    fin = [(roots.weight_to_exp(-v), sign, inverse)
-           for v, sign, inverse in roots.R_RHO_SEED.factors]
+    parities are the factors of `roots.R_RHO_SEED`, whose root-lattice
+    coordinates are the raw exponents."""
+    fin = roots.R_RHO_SEED
     out = list(fin)
     s = 1
     while True:
@@ -251,8 +251,8 @@ def build_orbit_sum(order: int) -> GradedSeries:
     Sums the two hand-derived terms of each translation power.  Its
     independent cross-check is ``roots.orbit_sum("What_alpha",
     roots.STANDARD_SEED, order)``, which applies the What_alpha group
-    elements to the seed weight by weight (`roots.WeylElement.apply`), so
-    it does not rely on that derivation.
+    elements to rho and to every seed root by the Gram-matrix reflection
+    and translation (`roots.act`), so it does not rely on that derivation.
     """
     return ring_sum(GL, order, _closed_ring)
 
@@ -276,9 +276,10 @@ def verify_prefactor(order: int) -> dict:
 @lru_cache(maxsize=None)
 def build_finite_r(order: int) -> GradedSeries:
     """(1-x)(1-x y1 y2) / ((1+y1)(1+y2)(1+x y1)(1+x y2)), on the q^0 face
-    of GL: `roots.R_RHO_SEED` expanded with no group element applied, so
-    independent of the Weyl action the W_alpha and W_gamma sums use."""
-    return roots.expand_orbit_term(roots.R_RHO_SEED, order)
+    of GL: `roots.R_RHO_SEED` expanded under the empty word, so no
+    reflection or translation enters, independent of the Weyl action the
+    W_alpha and W_gamma sums use."""
+    return roots.expand_orbit_term(roots.GL22, (), roots.R_RHO_SEED, order)
 
 
 def verify_finite_identity(order: int) -> dict:
@@ -317,6 +318,10 @@ def _sl21_ring(n: int):
 
 @lru_cache(maxsize=None)
 def build_sl21_rhs(order: int) -> GradedSeries:
+    """The sl(2|1) orbit sum from the hand-derived `_sl21_ring`.  Its
+    independent cross-check is ``roots.orbit_sum("sl21", roots.SL21_SEED,
+    order)``, which applies t_{-k alpha'} and t_{-k alpha'} s_{alpha'} to
+    rho-hat and the seed root by the Gram-matrix action at level 1."""
     return ring_sum(SL21, order, _sl21_ring)
 
 

@@ -1,246 +1,143 @@
-"""Weight space, bilinear form, Weyl group and signed orbit expansions.
+"""Root-lattice coordinates, the Weyl group and signed orbit expansions.
 
-Weights live in the six-dimensional space with ordered basis
-(eps1, eps2, d1, d2, delta, L0); the form is diagonal +1,+1,-1,-1 on the
-first four vectors, delta and L0 are isotropic and pair to 1.  The Weyl
-group is the product of two infinite dihedral factors, generated by the
-reflections along alpha and gamma together with the translations along
-them.
+A vector is an int tuple of coordinates on a basis of roots with delta
+first, so the coordinates of v are the raw exponents of the monomial
+e^{-v} on the algebra's series lattice.  The form is the Gram matrix of
+that basis, computed from the (eps, d) coordinates of the basis roots.
+rho-hat = rho + k Lambda0 has level k; rho is stored as 2 rho, which is
+integral, and the group acts on 2 rho-hat as on a vector of level 2k.
 
-Weights have coordinates in 1/2 Z and are stored in half units, so the
-group action is exact int arithmetic; a result outside (1/2 Z)^6 raises
-RootError.  The constants below are built from half units directly, and a
-weight is scaled only by ints.
-
-An orbit term lists its factors as (weight v, s, inverse) triples, each
-(1 + s e^{-v})**(-1 if inverse else 1), and expands on `series.GL`.
+Both algebras share three operations: the reflection `reflect`, the
+translation `translate`, and the term normaliser `normalized_term`, which
+turns a group element and a seed into the (sign, base, factors) that
+`series.expand_term` takes.  A seed is e^{rho-hat} times the product of
+its factors, listed as (vector v, s, inverse) triples, each
+(1 + s e^{-v})**(-1 if inverse else 1).  A group element is a word of
+generators ("s", nu), the reflection along nu, and ("t", mu), the
+translation by mu, applied from the right.
 """
 
 from __future__ import annotations
 
-from .series import GL, GradedSeries, expand_term, ring_sum
+from .series import GL, SL21, GradedSeries, expand_term, ring_sum
 
 
-class RootError(Exception):
-    pass
+class RootSystem:
+    """The Gram matrix ``gram`` of a basis with delta first, 2 rho, the
+    level of rho-hat and the series lattice of e^{-v}.
 
-
-class Weight:
-    """A weight in (1/2 Z)^6, stored as the ints ``halves`` = 2 * coordinates.
-
-    The only halves the orbit sums meet come from rho = -(beta1 + beta2)/2
-    and its images.  Immutable by convention.
+    ``basis`` lists the (eps, d) coordinates of the basis vectors, delta as
+    zero, and ``signs`` the diagonal of the form on eps and d.  `form`
+    sums over the nonzero entries of the Gram matrix only.  Immutable by
+    convention.
     """
 
-    __slots__ = ("halves",)
+    __slots__ = ("gram", "_entries", "rho2", "level", "lattice")
 
-    def __init__(self, halves: tuple[int, ...]):
-        self.halves = halves
+    def __init__(self, basis, signs, rho2, level, lattice):
+        self.gram = tuple(tuple(sum(f * x * y for f, x, y in zip(signs, u, v))
+                                for v in basis) for u in basis)
+        self._entries = tuple((i, j, g) for i, row in enumerate(self.gram)
+                              for j, g in enumerate(row) if g)
+        self.rho2 = rho2
+        self.level = level
+        self.lattice = lattice
 
-    def __eq__(self, other):
-        if not isinstance(other, Weight):
-            return NotImplemented
-        return self.halves == other.halves
-
-    def __hash__(self):
-        return hash(self.halves)
-
-    def __repr__(self):
-        return f"Weight(halves={self.halves!r})"
-
-    def __add__(self, other: "Weight") -> "Weight":
-        return Weight(tuple(a + b for a, b in zip(self.halves, other.halves)))
-
-    def __sub__(self, other: "Weight") -> "Weight":
-        return Weight(tuple(a - b for a, b in zip(self.halves, other.halves)))
-
-    def __neg__(self) -> "Weight":
-        return Weight(tuple(-a for a in self.halves))
-
-    def __rmul__(self, scalar: int) -> "Weight":
-        if not isinstance(scalar, int):
-            return NotImplemented
-        return Weight(tuple(scalar * a for a in self.halves))
+    def form(self, u, v) -> int:
+        return sum([g * u[i] * v[j] for i, j, g in self._entries])
 
 
-EPS1 = Weight((2, 0, 0, 0, 0, 0))
-EPS2 = Weight((0, 2, 0, 0, 0, 0))
-D1 = Weight((0, 0, 2, 0, 0, 0))
-D2 = Weight((0, 0, 0, 2, 0, 0))
-DELTA = Weight((0, 0, 0, 0, 2, 0))
-LAMBDA0 = Weight((0, 0, 0, 0, 0, 2))
-
-BETA1 = D1 - EPS1
-ALPHA = EPS1 - EPS2
-BETA2 = EPS2 - D2
-GAMMA = BETA1 + ALPHA + BETA2          # = D1 - D2
-RHO = Weight((1, -1, -1, 1, 0, 0))     # = -(BETA1 + BETA2) / 2
+def reflect(system: RootSystem, nu, v):
+    """s_nu(v) = v - (2 (v, nu) / (nu, nu)) nu.  Every root the groups
+    reflect along has (nu, nu) = +-2, so the quotient is exact."""
+    c = 2 * system.form(v, nu) // system.form(nu, nu)
+    return tuple(x - c * y for x, y in zip(v, nu))
 
 
-def _form4(x, y) -> int:
-    """4 (a, b), for the half units x, y of a, b."""
-    return (x[0] * y[0] + x[1] * y[1] - x[2] * y[2] - x[3] * y[3]
-            + x[4] * y[5] + x[5] * y[4])
+def translate(system: RootSystem, mu, v, level: int):
+    """t_mu(v) = v + k mu - ((v, mu) + k (mu, mu) / 2) delta for v of level
+    k, so t_mu(v) = v - (v, mu) delta at level 0.  Both Gram matrices have
+    an even diagonal, so (mu, mu) is even and the quotient exact."""
+    n = system.form(v, mu) + level * system.form(mu, mu) // 2
+    out = [x + level * m for x, m in zip(v, mu)]
+    out[0] -= n
+    return tuple(out)
 
 
-def _exact(num: int, den: int) -> int:
-    q, r = divmod(num, den)
-    if r:
-        raise RootError(f"{num}/{den} is not an integer: the result leaves (1/2 Z)^6")
-    return q
+def act(system: RootSystem, word, v, level: int):
+    """w(v) for the word w, v of the given level."""
+    for op, x in reversed(word):
+        v = reflect(system, x, v) if op == "s" else translate(system, x, v, level)
+    return v
 
 
-def reflect(nu: Weight, lam: Weight) -> Weight:
-    """lam - (2 (lam, nu) / (nu, nu)) nu, which must lie in (1/2 Z)^6."""
-    nn = _form4(nu.halves, nu.halves)
-    if nn == 0:
-        raise RootError("cannot reflect along an isotropic vector")
-    k = 2 * _form4(lam.halves, nu.halves)
-    return Weight(tuple(a - _exact(k * b, nn) for a, b in zip(lam.halves, nu.halves)))
+def normalized_term(system: RootSystem, word, seed):
+    """e^{-rho-hat} w(seed-hat) as (sign, base, factors) for `expand_term`:
+    the sign (-1)^(reflections), the raw exponents -(w rho-hat - rho-hat)
+    and the factors (w v, s, inverse)."""
+    sign = -1 if sum(op == "s" for op, _ in word) % 2 else 1
+    top2 = act(system, word, system.rho2, 2 * system.level)
+    return (sign, tuple((r - t) // 2 for r, t in zip(system.rho2, top2)),
+            [(act(system, word, v, 0), s, inverse) for v, s, inverse in seed])
 
 
-def translate(mu: Weight, lam: Weight) -> Weight:
-    """lam + (lam, delta) mu - ((lam, mu) + (mu, mu) (lam, delta) / 2) delta.
-
-    In half units (lam, delta) is lev / 2 with lev = lam.halves[5], so mu
-    is added lev / 2 times, and the delta half unit drops by
-    (16 (lam, mu) + 4 (mu, mu) lev) / 8.  The result must lie in (1/2 Z)^6.
-    """
-    x, m = lam.halves, mu.halves
-    lev = x[5]
-    # the orbit sums meet only level 0 (lev = 0), where the shift vanishes
-    h = [a + _exact(lev * b, 2) for a, b in zip(x, m)] if lev else list(x)
-    h[4] -= _exact(4 * _form4(x, m) + _form4(m, m) * lev, 8)
-    return Weight(tuple(h))
+def expand_orbit_term(system: RootSystem, word, seed, cutoff: int) -> GradedSeries:
+    """Expansion of e^{-rho-hat} w(seed-hat) on the system's lattice."""
+    return expand_term(system.lattice, cutoff, *normalized_term(system, word, seed))
 
 
-class WeylElement:
-    """t_{p*alpha} s_alpha^eps . t_{pp*gamma} s_gamma^epsp, in normal form.
+# gl(2|2)^ on `series.GL`: delta, alpha = eps1 - eps2, beta1 = d1 - eps1,
+# beta2 = eps2 - d2; the form is +1, +1, -1, -1 on eps1, eps2, d1, d2, and
+# rho = -(beta1 + beta2) / 2 at level 0
+GL22 = RootSystem(((0, 0, 0, 0), (1, -1, 0, 0), (-1, 0, 1, 0), (0, 1, 0, -1)),
+                  (1, 1, -1, -1), (0, 0, -1, -1), 0, GL)
+DELTA, ALPHA, BETA1, BETA2 = (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
+GAMMA = (0, 1, 1, 1)                   # beta1 + alpha + beta2 = d1 - d2
 
-    Immutable by convention.
-    """
-
-    __slots__ = ("p", "eps", "pp", "epsp")
-
-    def __init__(self, p: int = 0, eps: int = 0, pp: int = 0, epsp: int = 0):
-        self.p = p
-        self.eps = eps
-        self.pp = pp
-        self.epsp = epsp
-
-    def __eq__(self, other):
-        if not isinstance(other, WeylElement):
-            return NotImplemented
-        return ((self.p, self.eps, self.pp, self.epsp)
-                == (other.p, other.eps, other.pp, other.epsp))
-
-    def __hash__(self):
-        return hash((self.p, self.eps, self.pp, self.epsp))
-
-    def sgn(self) -> int:
-        return -1 if (self.eps + self.epsp) % 2 else 1
-
-    def apply(self, lam: Weight) -> Weight:
-        v = lam
-        if self.epsp:
-            v = reflect(GAMMA, v)
-        if self.pp:
-            v = translate(self.pp * GAMMA, v)
-        if self.eps:
-            v = reflect(ALPHA, v)
-        if self.p:
-            v = translate(self.p * ALPHA, v)
-        return v
-
-
-IDENTITY = WeylElement()
-S_ALPHA = WeylElement(eps=1)
-S_GAMMA = WeylElement(epsp=1)
-T_ALPHA = WeylElement(p=1)
-T_GAMMA = WeylElement(pp=1)
-
-
-class OrbitTerm:
-    """sign * e^top * prod (1 + s e^{-v})**(-1 if inverse else 1) over the
-    (weight v, s, inverse) ``factors``.  Immutable by convention."""
-
-    __slots__ = ("sign", "top", "factors")
-
-    def __init__(self, sign: int, top: Weight, factors: tuple):
-        self.sign = sign
-        self.top = top
-        self.factors = factors
-
-
-STANDARD_SEED = OrbitTerm(1, RHO, ((BETA1, 1, True), (BETA2, 1, True)))
+STANDARD_SEED = ((BETA1, 1, True), (BETA2, 1, True))
 # R e^rho; the finite positive roots, listed once: each even root v as the
-# factor (1 - e^{-v}), each odd one as 1/(1 + e^{-v}).
-R_RHO_SEED = OrbitTerm(1, RHO, ((ALPHA, -1, False), (GAMMA, -1, False),
-                                (BETA1, 1, True), (BETA2, 1, True),
-                                (ALPHA + BETA1, 1, True), (ALPHA + BETA2, 1, True)))
+# factor (1 - e^{-v}), each odd one as 1/(1 + e^{-v})
+R_RHO_SEED = ((ALPHA, -1, False), (GAMMA, -1, False),
+              (BETA1, 1, True), (BETA2, 1, True),
+              ((0, 1, 1, 0), 1, True), ((0, 1, 0, 1), 1, True))
 
+# sl(2|1)^ on `series.SL21`: delta, beta1 = eps1 - d, beta2 = d - eps2; the
+# form is +1, +1, -1 on eps1, eps2, d, and rho = 0 at level h^v = 1
+SL21_ROOTS = RootSystem(((0, 0, 0), (1, 0, -1), (0, -1, 1)), (1, 1, -1),
+                        (0, 0, 0), 1, SL21)
+ALPHA_SL21 = (0, 1, 1)                 # beta1 + beta2 = eps1 - eps2
+SL21_SEED = (((0, 1, 0), 1, True),)    # 1 / (1 + e^{-beta1})
 
-def apply_weyl_term(w: WeylElement, t: OrbitTerm) -> OrbitTerm:
-    return OrbitTerm(t.sign * w.sgn(), w.apply(t.top),
-                     tuple((w.apply(v), s, inverse) for v, s, inverse in t.factors))
-
-
-def weight_to_exp(lam: Weight):
-    """Raw exponents (n, a, b1, b2) of the monomial e^lam.
-
-    lam must lie in Z<delta, alpha, beta1, beta2>; e.g. e^{-delta} is q, so
-    e^lam = q^{-n} x^{-a} ...
-    """
-    c = lam.halves          # so a, b1, b2, n below are in half units too
-    b1 = c[2]
-    b2 = -c[3]
-    a = c[0] + b1
-    n = c[4]
-    if c[1] != -a + b2 or c[5] != 0:
-        raise RootError(f"{lam} outside the root lattice")
-    if (n | a | b1 | b2) & 1:
-        raise RootError(f"{lam} has non-integer root coordinates; "
-                        "requires rho-normalization")
-    return (-n // 2, -a // 2, -b1 // 2, -b2 // 2)
-
-
-def normalized_term(term: OrbitTerm):
-    """e^{-rho} * term as the (sign, base, factors) that `expand_term` takes."""
-    return (term.sign, weight_to_exp(term.top - RHO),
-            [(weight_to_exp(-v), s, inverse) for v, s, inverse in term.factors])
-
-
-def expand_orbit_term(term: OrbitTerm, cutoff: int) -> GradedSeries:
-    """Expansion of e^{-rho} * term as a cone-supported series on GL."""
-    return expand_term(GL, cutoff, *normalized_term(term))
-
-
-_FINITE_GROUPS = {
-    "W_alpha": (IDENTITY, S_ALPHA),
-    "W_gamma": (IDENTITY, S_GAMMA),
+# name: (root system, translation step mu or None, reflecting root nu or
+# None); ring k holds t_{k mu} and t_{k mu} s_nu, and a group without
+# translations only ring 0, {1, s_nu}
+_GROUPS = {
+    "W_alpha": (GL22, None, ALPHA),
+    "W_gamma": (GL22, None, GAMMA),
+    "T_alpha": (GL22, ALPHA, None),
+    "T_gamma": (GL22, GAMMA, None),
+    "What_alpha": (GL22, ALPHA, ALPHA),
+    "What_gamma": (GL22, GAMMA, GAMMA),
+    "sl21": (SL21_ROOTS, tuple(-x for x in ALPHA_SL21), ALPHA_SL21),
 }
 
 
 def _ring(group: str, k: int):
-    """Group elements whose translation power is k."""
-    if group in _FINITE_GROUPS:
-        return _FINITE_GROUPS[group] if k == 0 else ()
-    if group == "T_alpha":
-        return (WeylElement(p=k),)
-    if group == "T_gamma":
-        return (WeylElement(pp=k),)
-    if group == "What_alpha":
-        return (WeylElement(p=k), WeylElement(p=k, eps=1))
-    if group == "What_gamma":
-        return (WeylElement(pp=k), WeylElement(pp=k, epsp=1))
-    raise ValueError(f"unknown group {group!r}")
+    """The words of the group elements whose translation power is k."""
+    _, mu, nu = _GROUPS[group]
+    if mu is None:
+        return [(), (("s", nu),)] if k == 0 else []
+    t = (("t", tuple(k * x for x in mu)),)
+    return [t] if nu is None else [t, t + (("s", nu),)]
 
 
-def orbit_sum(group: str, seed: OrbitTerm, cutoff: int) -> GradedSeries:
+def orbit_sum(group: str, seed, cutoff: int) -> GradedSeries:
     """Signed sum of seed over the group, rho-normalized and truncated.
 
     Group elements are visited ring by ring in the translation power, by
     `ring_sum`.
     """
-    return ring_sum(GL, cutoff, lambda k: [normalized_term(apply_weyl_term(w, seed))
-                                           for w in _ring(group, k)])
+    system = _GROUPS[group][0]
+    return ring_sum(system.lattice, cutoff,
+                    lambda k: [normalized_term(system, w, seed)
+                               for w in _ring(group, k)])

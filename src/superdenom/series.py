@@ -25,9 +25,9 @@ operands of one lattice and one cutoff and raise `LatticeMismatch` or
 `BeyondCutoff` otherwise, and no function moves keys to a new base.
 Coordinate tuples and raw exponents appear only where callers see them:
 `from_terms`, the one checked constructor (`deserialize` too builds
-through it), `coeff`, `items_canonical`, `support`, `diff_up_to` and the
-JSON interchange format.  The lattices of the identities are the module
-constants `GL`, `SL21` and `QL`, and every binomial factor
+through it), `expand_term`, `items_canonical`, `support`, `diff_up_to`
+and the JSON interchange format.  The lattices of the identities are the
+module constants `GL`, `SL21` and `QL`, and every binomial factor
 (1 + s*m)**(-1 if inverse else 1) is a (raw exponents of m, s, inverse)
 triple.
 
@@ -269,19 +269,6 @@ class GradedSeries:
     def is_zero(self) -> bool:
         return not any(self._slices)
 
-    def coeff(self, exps) -> int:
-        """Exact coefficient of the raw-exponent monomial.
-
-        Raises BeyondCutoff for in-cone monomials above the truncation
-        degree; out-of-cone monomials have coefficient 0 by construction.
-        """
-        coords, in_cone, deg = cone_coords(self.lattice, exps)
-        if not in_cone:
-            return 0
-        if deg > self.cutoff:
-            raise BeyondCutoff(f"degree {deg} beyond truncation {self.cutoff}")
-        return self._slices[deg].get(_pack(coords, self.cutoff + 1), 0)
-
     def support(self):
         """Raw exponents of all stored monomials, canonically ordered."""
         return [e for _, e, _ in self.items_canonical()]
@@ -380,14 +367,20 @@ def mul(a: GradedSeries, b: GradedSeries) -> GradedSeries:
     return GradedSeries._of(a.lattice, a.cutoff, out)
 
 
-def _monomial_key(s: GradedSeries, exps):
-    """(degree, packed key) of the monomial of raw exponents exps, which
-    must lie in the cone with positive degree."""
-    coords, in_cone, deg = cone_coords(s.lattice, exps)
-    if not in_cone or deg <= 0:
+def _monomial_key(exps, coords, base: int):
+    """(degree, packed key in base ``base``) of the monomial of raw
+    exponents exps and cone coordinates coords, which must lie in the cone
+    with positive degree."""
+    deg = sum(coords)
+    if deg <= 0 or min(coords) < 0:
         raise SupportViolation(
             f"binomial monomial {exps} must lie in the cone with positive degree")
-    return deg, _pack(coords, s.cutoff + 1)
+    return deg, _pack(coords, base)
+
+
+def _key_of(s: GradedSeries, exps):
+    """`_monomial_key` of raw exponents exps for a factor of s."""
+    return _monomial_key(exps, s.lattice.to_coords(exps), s.cutoff + 1)
 
 
 def _apply(s: GradedSeries, factors) -> GradedSeries:
@@ -415,7 +408,7 @@ def apply_binomials(s: GradedSeries, factors) -> GradedSeries:
     """s times prod (1 + sign * m)**(-1 if inverse else 1) over the
     (raw exponents of m, sign, inverse) factors, each m in the cone with
     positive degree, applied in the given order."""
-    return _apply(s, [(*_monomial_key(s, e), sign, inverse)
+    return _apply(s, [(*_key_of(s, e), sign, inverse)
                        for e, sign, inverse in factors])
 
 
@@ -427,8 +420,8 @@ def apply_pochhammer(s: GradedSeries, head, step, sign: int,
     the truncation, so the product is finite.  Factor n has the key of
     head plus n times the key of step.
     """
-    dm, m = _monomial_key(s, head)
-    dg, step_key = _monomial_key(s, step)
+    dm, m = _key_of(s, head)
+    dg, step_key = _key_of(s, step)
     return _apply(s, [(dm + n * dg, m + n * step_key, sign, inverse)
                       for n in range((s.cutoff - dm) // dg + 1)])
 
@@ -442,28 +435,35 @@ def expand_term(lattice: LatticeSpec, cutoff: int, sign: int, base,
     rewritten as (s*m)**(+-1) (1 + s/m)**(+-1), which keeps every partial
     expansion cone-supported and needs s = +-1.  A constant numerator
     (1 - 1) makes the term zero; every other factor of degree 0, or of
-    negative degree with another s, is rejected.
+    negative degree with another s, is rejected.  Each cone coordinate is
+    computed once: the factors reach `_apply` packed, and the leading
+    monomial is stored without `from_terms`.
     """
     base = tuple(base)
-    out = []
+    packed = []
     for e, s, inverse in factors:
-        d = lattice.degree(e)
+        coords = lattice.to_coords(e)
+        d = sum(coords)
         if d < 0 and s * s == 1:  # 1 + s*m = s*m * (1 + s/m)
             sign *= s
             base = tuple(b - x if inverse else b + x for b, x in zip(base, e))
             e = tuple(-x for x in e)
+            coords = tuple(-c for c in coords)
         elif d <= 0:
             if not inverse and s == -1 and not any(e):
                 return GradedSeries.zero(lattice, cutoff)
             raise SupportViolation(f"factor {e} of sign {s} and degree {d}")
-        out.append((e, s, inverse))
-    _, in_cone, deg = cone_coords(lattice, base)
+        packed.append((*_monomial_key(e, coords, cutoff + 1), s, inverse))
+    if not all(isinstance(x, int) for x in base):
+        raise SupportViolation(f"monomial {base} has a non-int exponent")
+    coords, in_cone, deg = cone_coords(lattice, base)
     if not in_cone:
         raise SupportViolation(f"leading monomial {base} outside cone")
     if deg > cutoff:
         return GradedSeries.zero(lattice, cutoff)
-    return apply_binomials(GradedSeries.from_terms(lattice, cutoff, {base: sign}),
-                           out)
+    slices = _empty(cutoff)
+    slices[deg][_pack(coords, cutoff + 1)] = sign
+    return _apply(GradedSeries._of(lattice, cutoff, slices), packed)
 
 
 def ring_sum(lattice: LatticeSpec, cutoff: int, ring) -> GradedSeries:

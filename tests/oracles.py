@@ -2,17 +2,15 @@
 
 Each is written through the public API of `superdenom`, and as plainly as
 possible, so that it can check that API rather than repeat it: series are
-built only through the checked `GradedSeries.from_terms`, and weights are
-read as exact `Fraction` coordinates.
+built only through the checked `GradedSeries.from_terms` and read only
+through `GradedSeries.items_canonical`.
 """
 
-from fractions import Fraction
-
-from superdenom.roots import ALPHA, BETA1, BETA2, DELTA, Weight, WeylElement
 from superdenom.series import (
     BeyondCutoff,
     GradedSeries,
     LatticeSpec,
+    cone_coords,
     linear_combine,
     mul,
 )
@@ -37,6 +35,15 @@ def degree_slice(s, d):
     return {e: c for k, e, c in s.items_canonical() if sum(k) == d}
 
 
+def coeff(s, exps):
+    """Exact coefficient of the raw-exponent monomial: 0 outside the cone,
+    BeyondCutoff for an in-cone monomial above the truncation degree."""
+    _, in_cone, deg = cone_coords(s.lattice, exps)
+    if not in_cone:
+        return 0
+    return degree_slice(s, deg).get(tuple(exps), 0)
+
+
 def q0_face(s):
     """The terms of a series of raw exponents (n, ...) that have n = 0, the
     q^0 face of the gl(2|2)^ lattice, as a series of the same lattice and
@@ -59,7 +66,7 @@ def invert(s):
     sum of u**n with u = 1 - c0 * s, which has no constant term, so n runs
     to the cutoff at most."""
     one = GradedSeries.one(s.lattice, s.cutoff)
-    c0 = s.coeff((0,) * s.lattice.rank)
+    c0 = coeff(s, (0,) * s.lattice.rank)
     assert c0 in (1, -1), f"constant term {c0} is not a unit"
     u = linear_combine([(1, one), (-c0, s)])
     inv = one
@@ -79,45 +86,3 @@ def eval_series(s, values):
                 v *= val ** e
         total += v
     return total
-
-
-# -- weights and the Weyl group ----------------------------------------------
-
-
-def coords(w):
-    """The six coordinates of a weight, as Fractions."""
-    return tuple(Fraction(h, 2) for h in w.halves)
-
-
-def form(x, y):
-    """The bilinear form on coordinate tuples: +1, +1, -1, -1 on the first
-    four basis vectors, delta and Lambda0 isotropic and paired to 1."""
-    return (x[0] * y[0] + x[1] * y[1] - x[2] * y[2] - x[3] * y[3]
-            + x[4] * y[5] + x[5] * y[4])
-
-
-def inner(a, b):
-    """The form (a, b) of two weights, as an exact Fraction."""
-    return form(coords(a), coords(b))
-
-
-def weight_of(*vals):
-    """The weight of six rational coordinates, each in 1/2 Z."""
-    halves = [2 * Fraction(v) for v in vals]
-    if len(halves) != 6 or any(h.denominator != 1 for h in halves):
-        raise ValueError(f"{vals} are not six coordinates in 1/2 Z")
-    return Weight(tuple(int(h) for h in halves))
-
-
-def exp_to_weight(exps):
-    """The weight lam of the monomial e^lam of raw exponents exps."""
-    n, a, b1, b2 = exps
-    return -(n * DELTA + a * ALPHA + b1 * BETA1 + b2 * BETA2)
-
-
-def compose(w1, w2):
-    """The Weyl composition law: w1 w2 in normal form, from s t_p s =
-    t_{-p} within each infinite dihedral factor."""
-    p = w1.p + (-w2.p if w1.eps else w2.p)
-    pp = w1.pp + (-w2.pp if w1.epsp else w2.pp)
-    return WeylElement(p, (w1.eps + w2.eps) % 2, pp, (w1.epsp + w2.epsp) % 2)

@@ -7,7 +7,7 @@ import random
 import time
 
 import pytest
-from oracles import ID3, compose, degree_slice, from_coords, inner, invert
+from oracles import ID3, degree_slice, from_coords, invert
 
 from superdenom import analytic, identities as ids, roots, squares
 from superdenom.series import (
@@ -15,6 +15,7 @@ from superdenom.series import (
     GradedSeries,
     cone_coords,
     mul,
+    ring_sum,
 )
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -131,23 +132,30 @@ def test_criterion_10_property_suites():
         s = from_coords(ID3, 10, terms)
         invert_ok &= mul(s, invert(s)) == one
 
-    # Weyl form-invariance and group law on 200 random triples
+    # Weyl form-invariance and group relations on 200 random triples, on
+    # both root systems: s^2 = 1, t_mu t_nu = t_{mu+nu}, s t_mu s = t_{s mu}
     weyl_ok = True
-    for _ in range(200):
-        w1 = roots.WeylElement(rng.randrange(-5, 6), rng.randrange(2),
-                               rng.randrange(-5, 6), rng.randrange(2))
-        w2 = roots.WeylElement(rng.randrange(-5, 6), rng.randrange(2),
-                               rng.randrange(-5, 6), rng.randrange(2))
-        lam = (rng.randrange(-4, 5) * roots.ALPHA
-               + rng.randrange(-4, 5) * roots.BETA1
-               + rng.randrange(-4, 5) * roots.BETA2
-               + rng.randrange(-4, 5) * roots.DELTA
-               + rng.randrange(-2, 3) * roots.LAMBDA0)
-        mu = rng.randrange(-4, 5) * roots.GAMMA + rng.randrange(-4, 5) * roots.BETA1
-        w12 = compose(w1, w2)
-        weyl_ok &= inner(w1.apply(lam), w1.apply(mu)) == inner(lam, mu)
-        weyl_ok &= w12.apply(lam) == w1.apply(w2.apply(lam))
-        weyl_ok &= w12.sgn() == w1.sgn() * w2.sgn()
+    systems = [(roots.GL22, (roots.ALPHA, roots.GAMMA)),
+               (roots.SL21_ROOTS, (roots.ALPHA_SL21,))]
+    for system, simple in 100 * systems:
+        nu = rng.choice(simple)
+        mu, mu2 = (tuple(rng.randrange(-4, 5) * x for x in rng.choice(simple))
+                   for _ in range(2))
+        lam, lam2 = (tuple(rng.randrange(-4, 5) for _ in system.gram)
+                     for _ in range(2))
+        level = rng.choice((0, 2))
+        s, t, t2 = ("s", nu), ("t", mu), ("t", mu2)
+        w = rng.choice(((s,), (t,), (s, t), (t, s, t2)))
+        weyl_ok &= (system.form(roots.act(system, w, lam, 0),
+                                roots.act(system, w, lam2, 0))
+                    == system.form(lam, lam2))
+        weyl_ok &= roots.act(system, (s, s), lam, level) == lam
+        weyl_ok &= (roots.act(system, (t, t2), lam, level)
+                    == roots.translate(system, tuple(map(sum, zip(mu, mu2))),
+                                       lam, level))
+        weyl_ok &= (roots.act(system, (s, t, s), lam, level)
+                    == roots.translate(system, roots.reflect(system, nu, mu),
+                                       lam, level))
 
     # per-element orbit supports for |n| <= 3 are the predicted quadrants
     def expected(n, eps, cutoff):
@@ -171,21 +179,21 @@ def test_criterion_10_property_suites():
     support_ok = True
     for n in range(-3, 4):
         for eps in (0, 1):
-            w = roots.WeylElement(p=n, eps=eps)
-            s = roots.expand_orbit_term(
-                roots.apply_weyl_term(w, roots.STANDARD_SEED), 12)
+            w = (("t", (0, n, 0, 0)),) + (("s", roots.ALPHA),) * eps
+            s = roots.expand_orbit_term(roots.GL22, w, roots.STANDARD_SEED, 12)
             support_ok &= set(s.support()) == expected(n, eps, 12)
 
     # anti-invariance of the affine orbit sum at N=16
     base = roots.orbit_sum("What_alpha", roots.STANDARD_SEED, 16)
     anti_ok = all(
-        roots.orbit_sum("What_alpha",
-                        roots.apply_weyl_term(w0, roots.STANDARD_SEED), 16) == base
-        for w0 in (roots.S_ALPHA, roots.T_ALPHA))
+        ring_sum(GL, 16, lambda k: [
+            roots.normalized_term(roots.GL22, w + w0, roots.STANDARD_SEED)
+            for w in roots._ring("What_alpha", k)]) == base
+        for w0 in ((("s", roots.ALPHA),), (("t", roots.ALPHA),)))
 
     for name, ok in [("grading additivity and unimodular round-trip", grading_ok),
                      ("inverse round-trip on 100 random series", invert_ok),
-                     ("Weyl form-invariance and group law on 200 triples", weyl_ok),
+                     ("Weyl form-invariance and group relations on 200 triples", weyl_ok),
                      ("orbit element supports for |n| <= 3", support_ok),
                      ("orbit sum anti-invariance at N=16", anti_ok)]:
         _report(f"property suite: {name}", ok)

@@ -50,7 +50,7 @@ def _drop_first_schedule_family(monkeypatch):
 
 
 def _reflect_as_identity(monkeypatch):
-    monkeypatch.setattr(roots, "reflect", lambda nu, lam: lam)
+    monkeypatch.setattr(roots, "reflect", lambda system, nu, v: v)
 
 
 _MISMATCH_STDOUT = json.loads(

@@ -13,20 +13,21 @@ denominator check and by the ratio check, which divides the orbit sum by
 the quotient P' derived from both gl(2|2) tables: with a wrong P' the ratio
 is P' over the wrong one, which first differs from 1 at that same degree;
 an sl(2|1) case by the sl(2|1) check.  Each orbit-side case drops ring n
-of an orbit sum, which must be reported at the lowest degree of that ring.
-The Weyl-action cases break `roots.translate` or `roots.reflect`, which
-the closed-form orbit sum does not use.  The eight-squares cases break the
-sign-twisted divisor formula or the theta series, which `jacobi` must flag
-row by row from the lowest failing n, or the Gauss product, which it must
-flag on its gauss and intermediate line.
+of an orbit sum, which must be reported at the lowest degree of that ring;
+a case that breaks one term of the sl(2|1) rings must be reported there
+by the Weyl-group route.  The Weyl-action cases break `roots.translate`
+or `roots.reflect`, which the closed-form orbit sums do not use.  The
+eight-squares cases break the sign-twisted divisor formula or the theta
+series, which `jacobi` must flag row by row from the lowest failing n, or
+the Gauss product, which it must flag on its gauss and intermediate line.
 """
 
 import pytest
-from oracles import inner
 
 from superdenom import cli, squares
 from superdenom import identities as ids
 from superdenom import roots
+from superdenom.report import compare_series
 from superdenom.series import SeriesError
 
 
@@ -106,13 +107,37 @@ def test_dropped_sl21_ring_is_caught(monkeypatch, fresh_caches, n, degree, order
     assert ids.SL21.degree(rep["first_diffs"][0]["e"]) == degree
 
 
+@pytest.mark.parametrize("n, degree, order", [(1, 1, 18), (2, 8, 18), (3, 21, 24)])
+def test_untranslated_sl21_seed_root_is_caught(monkeypatch, fresh_caches, n,
+                                               degree, order):
+    # the first terms of ring n keep the seed root beta1 untranslated, the
+    # factor 1/(1 + u1) for 1/(1 + z^{+-n} u1); the term of power -n then
+    # has the leading monomial z^{n^2} e^{n alpha'} of degree 3n^2 - 2n,
+    # where it cancels the second term of power n, so the Weyl-group route
+    # must report the mismatch there
+    ring = ids._sl21_ring
+
+    def broken(k):
+        terms = ring(k)
+        if abs(k) == n:
+            sign, base, _ = terms[0]
+            terms[0] = (sign, base, [((0, 1, 0), 1, True)])
+        return terms
+
+    monkeypatch.setattr(ids, "_sl21_ring", broken)
+    rep = compare_series("sl21-weyl-route", ids.build_sl21_rhs(order),
+                         roots.orbit_sum("sl21", roots.SL21_SEED, order))
+    assert not rep["matched"]
+    assert ids.SL21.degree(rep["first_diffs"][0]["e"]) == degree
+
+
 def test_translate_without_delta_term_is_caught(monkeypatch, fresh_caches):
-    # without its delta term a translation fixes every level-0 weight, so
+    # without its delta term a translation fixes every level-0 vector, so
     # every ring of a translation orbit repeats ring 0 and the ring sum
-    # fails at its bound instead of returning a series
-    # (lam, delta) is 0 on every weight the orbit sums meet
-    monkeypatch.setattr(
-        roots, "translate", lambda mu, lam: lam + int(inner(lam, roots.DELTA)) * mu)
+    # fails at its bound instead of returning a series; rho-hat has level 0
+    # on gl(2|2)^
+    monkeypatch.setattr(roots, "translate", lambda system, mu, v, level: tuple(
+        x + level * m for x, m in zip(v, mu)))
     with pytest.raises(SeriesError, match="past the bound"):
         roots.orbit_sum("What_alpha", roots.STANDARD_SEED, 24)
     with pytest.raises(SeriesError, match="past the bound"):
@@ -122,7 +147,7 @@ def test_translate_without_delta_term_is_caught(monkeypatch, fresh_caches):
 def test_reflect_as_identity_is_caught(monkeypatch, fresh_caches):
     # s_alpha (seed) then cancels the seed, so both finite orbit sums vanish
     # and the product side's constant term 1 is the first diff
-    monkeypatch.setattr(roots, "reflect", lambda nu, lam: lam)
+    monkeypatch.setattr(roots, "reflect", lambda system, nu, v: v)
     rep = ids.verify_finite_identity(24)
     assert not rep["matched"]
     assert ids.GL.degree(rep["first_diffs"][0]["e"]) == 0

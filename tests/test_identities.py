@@ -4,7 +4,7 @@ import json
 import pathlib
 
 import pytest
-from oracles import degree_slice, inner, q0_face, restrict
+from oracles import coeff, degree_slice, q0_face, restrict
 
 from superdenom import identities as ids
 from superdenom import roots, series
@@ -176,12 +176,12 @@ def test_quotient_division_makes_few_term_operations(trace):
 
 def test_prefactor_known_coefficients():
     p = ids.build_prefactor(12)
-    assert p.coeff((0, 0, 0, 0)) == 1
-    assert p.coeff((1, 0, 0, 0)) == -2       # q
-    assert p.coeff((1, 0, 1, -1)) == 1       # q y1/y2
-    assert p.coeff((1, 0, -1, 1)) == 1       # q y2/y1
-    assert p.coeff((2, 0, 2, -2)) == 1       # q^2 (y1/y2)^2
-    assert p.coeff((0, 1, 0, 0)) == 0        # no bare x anywhere
+    assert coeff(p, (0, 0, 0, 0)) == 1
+    assert coeff(p, (1, 0, 0, 0)) == -2      # q
+    assert coeff(p, (1, 0, 1, -1)) == 1      # q y1/y2
+    assert coeff(p, (1, 0, -1, 1)) == 1      # q y2/y1
+    assert coeff(p, (2, 0, 2, -2)) == 1      # q^2 (y1/y2)^2
+    assert coeff(p, (0, 1, 0, 0)) == 0       # no bare x anywhere
     # support is confined to q^m (y1/y2)^k
     for _, e, _ in p.items_canonical():
         assert e[1] == 0 and e[3] == -e[2]
@@ -203,6 +203,12 @@ def test_orbit_sum_methods_agree(order):
     assert closed == roots.orbit_sum("What_gamma", roots.STANDARD_SEED, order)
 
 
+@pytest.mark.parametrize("order", [18, 60])
+def test_sl21_orbit_sum_methods_agree(order):
+    # the hand-derived sl(2|1) rings against the level-1 Weyl-group route
+    assert ids.build_sl21_rhs(order) == roots.orbit_sum("sl21", roots.SL21_SEED, order)
+
+
 def _rings(ring, n, order=40):
     """The expansion of the terms of rings n and -n, ring 0 once."""
     return linear_combine((1, expand_term(GL, order, *t))
@@ -210,8 +216,7 @@ def _rings(ring, n, order=40):
 
 
 def _weyl_ring(group):
-    seed = roots.STANDARD_SEED
-    return lambda k: [roots.normalized_term(roots.apply_weyl_term(w, seed))
+    return lambda k: [roots.normalized_term(roots.GL22, w, roots.STANDARD_SEED)
                       for w in roots._ring(group, k)]
 
 
@@ -229,7 +234,7 @@ def test_closed_rings_are_the_weyl_rings(n):
 def test_orbit_sum_leading_terms():
     s = ids.build_orbit_sum(8)
     # degree 0: the n = 0 identity term contributes 1, s_alpha nothing
-    assert s.coeff((0, 0, 0, 0)) == 1
+    assert coeff(s, (0, 0, 0, 0)) == 1
     # degree 1 matches the product side: the prefactor has nothing below
     # degree 4, so the orbit sum must already produce the four monomials
     assert degree_slice(s, 1) == {(0, 0, 1, 0): -1, (0, 0, 0, 1): -1,
@@ -296,14 +301,15 @@ def test_rrho_seed_expansion_closed_form():
                          [((0, 1, 0, 0), -1, False), ((0, 1, 1, 1), -1, False),
                           ((0, 0, 1, 0), 1, True), ((0, 0, 0, 1), 1, True),
                           ((0, 1, 1, 0), 1, True), ((0, 1, 0, 1), 1, True)])
-    assert roots.expand_orbit_term(roots.R_RHO_SEED, 12) == direct
+    assert roots.expand_orbit_term(roots.GL22, (), roots.R_RHO_SEED, 12) == direct
 
 
 def test_rrho_seed_isotropic_for_both_lattices():
-    # the translated tops stay at level 0, which keeps both orbit sums
-    # inside the cone ring by ring
-    assert inner(roots.R_RHO_SEED.top, roots.DELTA) == 0
-    assert inner(roots.ALPHA, roots.ALPHA) == -inner(roots.GAMMA, roots.GAMMA)
+    # rho-hat has level 0 on gl(2|2)^, so the translated tops stay at level
+    # 0, which keeps both orbit sums inside the cone ring by ring
+    form = roots.GL22.form
+    assert roots.GL22.level == 0
+    assert form(roots.ALPHA, roots.ALPHA) == -form(roots.GAMMA, roots.GAMMA)
 
 
 @pytest.mark.parametrize("order", [8, 16])

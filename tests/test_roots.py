@@ -1,193 +1,177 @@
-"""Weight space, bilinear form, Weyl group action, orbit expansions."""
+"""Root-lattice coordinates, the Gram form, Weyl group action, orbit expansions."""
 
 import random
 import subprocess
 import sys
-from fractions import Fraction
 
 import pytest
-from oracles import compose, coords, exp_to_weight, form, inner, weight_of
+from oracles import coeff
 
 from superdenom.roots import (
     ALPHA,
+    ALPHA_SL21,
     BETA1,
     BETA2,
     DELTA,
-    EPS1,
-    EPS2,
     GAMMA,
-    IDENTITY,
-    LAMBDA0,
-    RHO,
-    RootError,
-    S_ALPHA,
-    S_GAMMA,
+    GL22,
+    SL21_ROOTS,
     STANDARD_SEED,
-    T_ALPHA,
-    T_GAMMA,
-    WeylElement,
-    apply_weyl_term,
+    _ring,
+    act,
     expand_orbit_term,
+    normalized_term,
     orbit_sum,
     reflect,
     translate,
-    weight_to_exp,
 )
 from superdenom.series import (
     GL,
     cone_coords,
     linear_combine,
+    ring_sum,
 )
+
+
+def _add(*vs):
+    return tuple(map(sum, zip(*vs)))
+
+
+def _scale(c, v):
+    return tuple(c * x for x in v)
+
+
+S_ALPHA = (("s", ALPHA),)
+T_ALPHA = (("t", ALPHA),)
+
+# each system with the roots its groups reflect along and translate by
+_SYSTEMS = {"gl22": (GL22, (ALPHA, GAMMA)), "sl21": (SL21_ROOTS, (ALPHA_SL21,))}
 
 
 # -- bilinear form -----------------------------------------------------------
 
 
 def test_inner_basis_values():
-    assert inner(EPS1, EPS1) == 1
-    assert inner(EPS2, EPS2) == 1
-    assert inner(EPS1, EPS2) == 0
-    assert inner(DELTA, DELTA) == 0
-    assert inner(LAMBDA0, LAMBDA0) == 0
-    assert inner(DELTA, LAMBDA0) == 1
+    # the Gram matrices that the (eps, d) coordinates of the basis give
+    assert GL22.gram == ((0, 0, 0, 0), (0, 2, -1, -1), (0, -1, 0, 0), (0, -1, 0, 0))
+    assert SL21_ROOTS.gram == ((0, 0, 0), (0, 0, 1), (0, 1, 0))
+    # delta is isotropic and pairs to 0 with every level-0 vector
+    assert all(GL22.form(DELTA, v) == 0 for v in (DELTA, ALPHA, BETA1, BETA2))
+    assert all(SL21_ROOTS.form((1, 0, 0), v) == 0
+               for v in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 
 
 def test_inner_root_values():
-    assert inner(ALPHA, ALPHA) == 2
-    assert inner(GAMMA, GAMMA) == -2
-    assert inner(BETA1, BETA1) == 0
-    assert inner(BETA2, BETA2) == 0
-    assert inner(BETA1, ALPHA) == -1
-    assert inner(BETA2, ALPHA) == -1
-    assert inner(BETA1, BETA2) == 0
-    assert inner(RHO, ALPHA) == 1
-    assert inner(RHO, GAMMA) == 1
-    assert inner(RHO, RHO) == Fraction(-1, 2) * inner(BETA1 + BETA2, RHO)
+    f, rho2 = GL22.form, GL22.rho2
+    assert f(ALPHA, ALPHA) == 2
+    assert f(GAMMA, GAMMA) == -2
+    assert f(BETA1, BETA1) == f(BETA2, BETA2) == 0
+    assert f(BETA1, ALPHA) == f(BETA2, ALPHA) == -1
+    assert f(BETA1, BETA2) == 0
+    assert f(ALPHA, GAMMA) == 0
+    assert f(rho2, ALPHA) == f(rho2, GAMMA) == 2      # (rho, alpha) = (rho, gamma) = 1
+    assert rho2 == _scale(-1, _add(BETA1, BETA2))
+    g = SL21_ROOTS.form
+    assert g(ALPHA_SL21, ALPHA_SL21) == 2
+    assert g((0, 1, 0), (0, 1, 0)) == g((0, 0, 1), (0, 0, 1)) == 0
+    assert g((0, 1, 0), (0, 0, 1)) == g((0, 1, 0), ALPHA_SL21) == 1
 
 
 # -- reflections and translations --------------------------------------------
 
 
 def test_reflect_examples():
-    assert reflect(ALPHA, ALPHA) == -ALPHA
-    assert reflect(ALPHA, BETA1) == BETA1 + ALPHA
-    assert reflect(ALPHA, BETA2) == BETA2 + ALPHA
-    assert reflect(GAMMA, GAMMA) == -GAMMA
-    assert reflect(GAMMA, BETA1) == -(ALPHA + BETA2)
-    assert reflect(GAMMA, BETA2) == -(ALPHA + BETA1)
-    assert reflect(ALPHA, DELTA) == DELTA
+    assert reflect(GL22, ALPHA, ALPHA) == _scale(-1, ALPHA)
+    assert reflect(GL22, ALPHA, BETA1) == _add(BETA1, ALPHA)
+    assert reflect(GL22, ALPHA, BETA2) == _add(BETA2, ALPHA)
+    assert reflect(GL22, GAMMA, GAMMA) == _scale(-1, GAMMA)
+    assert reflect(GL22, GAMMA, BETA1) == _scale(-1, _add(ALPHA, BETA2))
+    assert reflect(GL22, GAMMA, BETA2) == _scale(-1, _add(ALPHA, BETA1))
+    assert reflect(GL22, ALPHA, DELTA) == DELTA
+    # s_rho - rho = -alpha, in 2 rho
+    assert reflect(GL22, ALPHA, GL22.rho2) == _add(GL22.rho2, _scale(-2, ALPHA))
+    # sl(2|1): s_alpha' swaps beta1 and -beta2
+    assert reflect(SL21_ROOTS, ALPHA_SL21, (0, 1, 0)) == (0, 0, -1)
 
 
 def test_reflect_isotropic_rejected():
-    with pytest.raises(RootError):
-        reflect(BETA1, ALPHA)
-    with pytest.raises(RootError):
-        reflect(DELTA, ALPHA)
+    # only a root of nonzero length has a reflection
+    with pytest.raises(ZeroDivisionError):
+        reflect(GL22, BETA1, ALPHA)
+    with pytest.raises(ZeroDivisionError):
+        reflect(GL22, DELTA, ALPHA)
 
 
 def test_translate_examples():
-    # (rho, delta) = 0, so translating rho only shifts the delta coordinate
-    assert translate(ALPHA, RHO) == RHO - DELTA
-    assert translate(GAMMA, RHO) == RHO - DELTA
-    assert translate(ALPHA, BETA1) == BETA1 + DELTA
-    assert translate(ALPHA, LAMBDA0) == LAMBDA0 + ALPHA - DELTA
-    assert translate(ALPHA, DELTA) == DELTA
+    # (rho, delta) = 0 and rho has level 0, so translating 2 rho only
+    # shifts its delta coordinate, by -(2 rho, mu)
+    rho2 = GL22.rho2
+    assert translate(GL22, ALPHA, rho2, 0) == _add(rho2, _scale(-2, DELTA))
+    assert translate(GL22, GAMMA, rho2, 0) == _add(rho2, _scale(-2, DELTA))
+    assert translate(GL22, ALPHA, BETA1, 0) == _add(BETA1, DELTA)
+    assert translate(GL22, ALPHA, DELTA, 0) == DELTA
+    # Lambda0, level 1 and zero root-lattice coordinates: alpha - delta
+    assert translate(GL22, ALPHA, (0, 0, 0, 0), 1) == _add(ALPHA, _scale(-1, DELTA))
+    # sl(2|1): t_{-k alpha'} (2 rho-hat) - 2 rho-hat = -2k alpha' - 2k^2 delta
+    for k in range(-3, 4):
+        mu = _scale(-k, ALPHA_SL21)
+        assert translate(SL21_ROOTS, mu, (0, 0, 0), 2) == (-2 * k * k, -2 * k, -2 * k)
 
 
-def _random_root_weight(rng):
-    return (rng.randrange(-4, 5) * ALPHA + rng.randrange(-4, 5) * BETA1
-            + rng.randrange(-4, 5) * BETA2 + rng.randrange(-4, 5) * DELTA
-            + rng.randrange(-2, 3) * LAMBDA0)
+def _random_vector(rng, system):
+    return tuple(rng.randrange(-4, 5) for _ in system.gram)
 
 
-def _random_weyl(rng):
-    return WeylElement(rng.randrange(-5, 6), rng.randrange(2),
-                       rng.randrange(-5, 6), rng.randrange(2))
+def _random_word(rng, roots, length):
+    return tuple(("s", rng.choice(roots)) if rng.randrange(2)
+                 else ("t", _scale(rng.randrange(-5, 6), rng.choice(roots)))
+                 for _ in range(length))
 
 
 def test_form_invariance_and_group_law_200_triples():
     rng = random.Random(424242)
-    for _ in range(200):
-        w1, w2 = _random_weyl(rng), _random_weyl(rng)
-        lam, mu = _random_root_weight(rng), _random_root_weight(rng)
-        # the action preserves the form
-        assert inner(w1.apply(lam), w1.apply(mu)) == inner(lam, mu)
-        # compose matches function composition, sgn is multiplicative
-        w12 = compose(w1, w2)
-        assert w12.apply(lam) == w1.apply(w2.apply(lam))
-        assert w12.sgn() == w1.sgn() * w2.sgn()
+    for system, roots in 100 * list(_SYSTEMS.values()):
+        w1 = _random_word(rng, roots, rng.randrange(4))
+        w2 = _random_word(rng, roots, rng.randrange(4))
+        lam, mu = _random_vector(rng, system), _random_vector(rng, system)
+        # the level-0 action preserves the form
+        assert system.form(act(system, w1, lam, 0), act(system, w1, mu, 0)) \
+            == system.form(lam, mu)
+        # a product of words acts as the composition, at every level, and
+        # the term sign is multiplicative
+        for level in (0, 2):
+            assert act(system, w1 + w2, lam, level) \
+                == act(system, w1, act(system, w2, lam, level), level)
+        signs = [normalized_term(system, w, ())[0] for w in (w1, w2, w1 + w2)]
+        assert signs[2] == signs[0] * signs[1]
 
 
 def test_group_relations():
-    for s in (S_ALPHA, S_GAMMA):
-        assert compose(s, s) == IDENTITY
-    assert compose(T_ALPHA, WeylElement(p=-1)) == IDENTITY
-    assert compose(T_ALPHA, T_GAMMA) == compose(T_GAMMA, T_ALPHA)
-    # s_alpha t_alpha s_alpha = t_{-alpha}
-    assert compose(S_ALPHA, compose(T_ALPHA, S_ALPHA)) == WeylElement(p=-1)
-    # translations compose additively
-    assert compose(WeylElement(p=3), WeylElement(p=-1, pp=2)) == WeylElement(p=2, pp=2)
+    rng = random.Random(7)
+    for system, roots in 60 * list(_SYSTEMS.values()):
+        v, level = _random_vector(rng, system), rng.choice((0, 1, 2))
+        nu = rng.choice(roots)
+        mu, mu2 = (_scale(rng.randrange(-4, 5), rng.choice(roots)) for _ in range(2))
+        s = ("s", nu)
+        # s^2 = 1
+        assert act(system, (s, s), v, level) == v
+        # t_mu t_mu2 = t_{mu + mu2}
+        assert act(system, (("t", mu), ("t", mu2)), v, level) \
+            == translate(system, _add(mu, mu2), v, level)
+        # s t_mu s = t_{s mu}
+        assert act(system, (s, ("t", mu), s), v, level) \
+            == translate(system, reflect(system, nu, mu), v, level)
 
 
 def test_fixed_vectors():
+    # delta and beta1 - beta2 in both systems
     rng = random.Random(9)
-    fixed = (DELTA, BETA1 - BETA2)
-    for _ in range(30):
-        w = _random_weyl(rng)
+    for system, roots in 30 * list(_SYSTEMS.values()):
+        fixed = ((DELTA, (0, 0, 1, -1)) if system is GL22
+                 else ((1, 0, 0), (0, 1, -1)))
+        w = _random_word(rng, roots, rng.randrange(1, 5))
         for v in fixed:
-            assert w.apply(v) == v
-
-
-# -- exact int action against the textbook Fraction formulas ------------------
-
-
-def _ref_reflect(nu, lam):
-    c = 2 * form(lam, nu) / form(nu, nu)
-    return tuple(a - c * b for a, b in zip(lam, nu))
-
-
-def _ref_translate(mu, lam):
-    delta = coords(DELTA)
-    ld = form(lam, delta)
-    corr = form(lam, mu) + Fraction(form(mu, mu), 2) * ld
-    return tuple(a + ld * m - corr * d for a, m, d in zip(lam, mu, delta))
-
-
-def test_int_action_matches_fraction_reference_200_cases():
-    rng = random.Random(60606)
-    half_level = weight_of(0, 0, 0, 0, 0, Fraction(1, 2))
-    for _ in range(200):
-        # rho + root lattice + Z Lambda0, plus some half-integral levels
-        lam = (rng.randrange(2) * RHO + _random_root_weight(rng)
-               + rng.randrange(2) * half_level)
-        p, pp = rng.randrange(-5, 6), rng.randrange(-5, 6)
-        x = coords(lam)
-        for nu in (ALPHA, GAMMA):
-            assert coords(reflect(nu, lam)) == _ref_reflect(coords(nu), x)
-        for mu in (p * ALPHA, pp * GAMMA):
-            assert coords(translate(mu, lam)) == _ref_translate(coords(mu), x)
-
-
-def test_coordinates_outside_half_integers_rejected():
-    # a weight is scaled only by ints, so no scalar takes it out of (1/2 Z)^6
-    for scalar in (Fraction(1, 4), Fraction(-1, 2), 0.5, 1.0):
-        with pytest.raises(TypeError):
-            scalar * ALPHA
-    with pytest.raises(ValueError):
-        weight_of(Fraction(1, 3), 0, 0, 0, 0, 0)
-    assert weight_of(*(-x / 2 for x in coords(BETA1 + BETA2))) == RHO
-
-
-def test_results_outside_half_integers_raise():
-    # coefficient 2 (eps1, nu) / (nu, nu) = 4/5 for nu = 2 eps1 + eps2
-    with pytest.raises(RootError):
-        reflect(weight_of(2, 1, 0, 0, 0, 0), EPS1)
-    # level 1/2 adds mu / 2, and mu = eps1 / 2 gives a quarter
-    half = Fraction(1, 2)
-    with pytest.raises(RootError):
-        translate(weight_of(half, 0, 0, 0, 0, 0), weight_of(0, 0, 0, 0, 0, half))
-    # a coefficient of 1/2 is fine when the result stays in (1/2 Z)^6
-    assert reflect(ALPHA, weight_of(half, 0, 0, 0, 0, 0)) == weight_of(0, half, 0, 0, 0, 0)
+            assert act(system, w, v, 0) == v
 
 
 ORBIT_PATH_PROBE = """
@@ -195,6 +179,7 @@ import sys
 from superdenom import analytic, cli, identities, report, roots, series, squares
 roots.orbit_sum("T_alpha", roots.R_RHO_SEED, 16)
 roots.orbit_sum("What_alpha", roots.STANDARD_SEED, 24)
+roots.orbit_sum("sl21", roots.SL21_SEED, 24)
 print("fractions" in sys.modules)
 """
 
@@ -207,36 +192,12 @@ def test_orbit_path_needs_no_fraction():
     assert out.strip() == "False"
 
 
-# -- monomial dictionary -----------------------------------------------------
-
-
-def test_weight_to_exp_examples():
-    # e^{-delta} = q, e^{-alpha} = x, e^{-beta_i} = y_i
-    assert weight_to_exp(-DELTA) == (1, 0, 0, 0)
-    assert weight_to_exp(-ALPHA) == (0, 1, 0, 0)
-    assert weight_to_exp(-BETA1) == (0, 0, 1, 0)
-    assert weight_to_exp(-BETA2) == (0, 0, 0, 1)
-    assert weight_to_exp(DELTA - GAMMA) == (-1, 1, 1, 1)
-    assert weight_to_exp(-BETA1 - BETA2) == (0, 0, 1, 1)
-
-
-def test_weight_to_exp_rejects():
-    with pytest.raises(RootError):
-        weight_to_exp(RHO)            # half-integer root coordinates
-    with pytest.raises(RootError):
-        weight_to_exp(EPS1)           # not in the root lattice
-    with pytest.raises(RootError):
-        weight_to_exp(LAMBDA0)
-
-
-def test_exp_to_weight_round_trip():
-    rng = random.Random(13)
-    for _ in range(40):
-        e = tuple(rng.randrange(-5, 6) for _ in range(4))
-        assert weight_to_exp(exp_to_weight(e)) == e
-
-
 # -- orbit expansions --------------------------------------------------------
+
+
+def _sw(n, eps):
+    """The word of t_{n alpha} s_alpha^eps."""
+    return (("t", _scale(n, ALPHA)),) + S_ALPHA * eps
 
 
 def _expected_sw_support(n, eps, cutoff):
@@ -271,8 +232,7 @@ def test_sw_supports_up_to_three():
     supports = {}
     for n in range(-3, 4):
         for eps in (0, 1):
-            w = WeylElement(p=n, eps=eps)
-            s = expand_orbit_term(apply_weyl_term(w, STANDARD_SEED), cutoff)
+            s = expand_orbit_term(GL22, _sw(n, eps), STANDARD_SEED, cutoff)
             got = set(s.support())
             assert got == _expected_sw_support(n, eps, cutoff), (n, eps)
             supports[(n, eps)] = got
@@ -284,28 +244,33 @@ def test_sw_supports_up_to_three():
 
 
 def test_orbit_sum_anti_invariance():
-    # replacing the seed by w0(seed), sign included, reindexes the same sum
+    # replacing the seed by w0(seed), sign included, reindexes the same sum:
+    # every element w becomes w w0
     cutoff = 16
     base = orbit_sum("What_alpha", STANDARD_SEED, cutoff)
-    for w0 in (S_ALPHA, T_ALPHA, WeylElement(p=-2, eps=1)):
-        twisted = orbit_sum("What_alpha", apply_weyl_term(w0, STANDARD_SEED),
-                            cutoff)
+    for w0 in (S_ALPHA, T_ALPHA, _sw(-2, 1)):
+        twisted = ring_sum(GL, cutoff, lambda k: [
+            normalized_term(GL22, w + w0, STANDARD_SEED)
+            for w in _ring("What_alpha", k)])
         assert twisted == base
 
 
 def test_orbit_sum_coefficient_symmetry():
     # coefficients of the rho-normalized sum are antisymmetric under the
-    # rho-twisted action on labels: a_{w . mu} = sgn(w) a_mu
+    # rho-twisted action on labels: a_{w . mu} = sgn(w) a_mu, where the term
+    # of raw exponents e has the label mu = rho - e, so 2 mu = 2 rho - 2e
     cutoff = 16
     s = orbit_sum("What_alpha", STANDARD_SEED, cutoff)
+    rho2 = GL22.rho2
     checked = 0
-    for w in (S_ALPHA, T_ALPHA, WeylElement(p=-1)):
+    for w in (S_ALPHA, T_ALPHA, (("t", _scale(-1, ALPHA)),)):
+        sgn = normalized_term(GL22, w, ())[0]
         for _, e, c in s.items_canonical():
-            mu = exp_to_weight(e) + RHO
-            image = weight_to_exp(w.apply(mu) - RHO)
+            mu2 = _add(rho2, _scale(-2, e))
+            image = tuple((r - x) // 2 for r, x in zip(rho2, act(GL22, w, mu2, 0)))
             _, in_cone, deg = cone_coords(GL, image)
             if in_cone and deg <= cutoff:
-                assert s.coeff(image) == w.sgn() * c
+                assert coeff(s, image) == sgn * c
                 checked += 1
     assert checked > 100
 
@@ -313,7 +278,7 @@ def test_orbit_sum_coefficient_symmetry():
 def test_finite_orbit_sums_are_two_term():
     wa = orbit_sum("W_alpha", STANDARD_SEED, 8)
     direct = linear_combine([
-        (1, expand_orbit_term(STANDARD_SEED, 8)),
-        (1, expand_orbit_term(apply_weyl_term(S_ALPHA, STANDARD_SEED), 8)),
+        (1, expand_orbit_term(GL22, (), STANDARD_SEED, 8)),
+        (1, expand_orbit_term(GL22, S_ALPHA, STANDARD_SEED, 8)),
     ])
     assert wa == direct
