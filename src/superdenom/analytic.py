@@ -270,15 +270,21 @@ def check_an_limits(cfg: EvalConfig) -> dict:
 
 
 def run_suite(cfg: EvalConfig) -> dict:
+    """The verdict `superdenom analytic` prints: ok when every check
+    passes, then the worst deviation each check found."""
     functional = [check_functional(cfg, y) for y in SAMPLES[:4]]
-    reports = {
-        "ratio_one": check_ratio_one(cfg),
-        "b_zeros": check_b_zeros(cfg),
-        "functional": {"max_dev": max(max(r["a_over_r"], r["b_ratio"], r["combined"])
-                                      for r in functional),
-                       "ok": all(r["ok"] for r in functional)},
-        "limits": check_limits(cfg),
-        "an_limits": check_an_limits(cfg),
+    ratio_one = check_ratio_one(cfg)
+    b_zeros = check_b_zeros(cfg)
+    limits = check_limits(cfg)
+    an_limits = check_an_limits(cfg)
+    return {
+        "ok": all(r["ok"] for r in (ratio_one, b_zeros, *functional, limits,
+                                    an_limits)),
+        "ratio_one_max_dev": ratio_one["max_deviation"],
+        "b_zero_max": b_zeros["max"],
+        "functional_max_dev": max(max(r["a_over_r"], r["b_ratio"], r["combined"])
+                                  for r in functional),
+        "limit_dev_a_over_r": limits["dev_a_over_r"],
+        "limit_dev_b": limits["dev_b"],
+        "an_limits_max_dev": an_limits["max_dev"],
     }
-    reports["ok"] = all(r["ok"] for r in reports.values())
-    return reports

@@ -15,25 +15,6 @@ from types import SimpleNamespace
 from . import analytic, identities, squares
 from .series import MAX_CUTOFF, serialize
 
-# name: (help, default --order or None, --format choices), in the order
-# the usage line and --help list them
-_COMMANDS = {
-    "verify-denom": ("main affine identity", 24, ("text", "json")),
-    "verify-prefactor": ("product vs cyclotomic series prefactor", 40,
-                         ("text", "json")),
-    "verify-finite": ("finite gl(2|2) identity, the q^0 face", 24,
-                      ("text", "json")),
-    "verify-sl21": ("affine sl(2|1) identity", 18, ("text", "json")),
-    "verify-talpha-tgamma": ("translation orbit sums along alpha vs gamma", 16,
-                             ("text", "json")),
-    "ratio-support": ("support shape and triviality of RHS/LHS", 24,
-                      ("text", "json")),
-    "jacobi": ("eight-squares table and identities", None,
-               ("text", "json", "csv")),
-    "analytic": ("floating-point evaluation suite", None, ("text", "json")),
-    "dump": ("serialize a builder output", 24, ("json",)),
-}
-
 _VERIFIERS = {
     "verify-denom": identities.verify_denominator,
     "verify-prefactor": identities.verify_prefactor,
@@ -85,14 +66,116 @@ def _choice(choices: tuple):
     return convert
 
 
+def _json_text(doc: dict) -> str:
+    import json
+
+    return json.dumps(doc, sort_keys=True, indent=2)
+
+
+def _report_text(doc: dict) -> str:
+    lines = [f"{doc['identity']}: "
+             f"{'MATCHED' if doc['matched'] else 'MISMATCH'} "
+             f"(cutoff {doc['cutoff']}, {doc['lhs_terms']} vs "
+             f"{doc['rhs_terms']} terms)"]
+    for d in doc["first_diffs"]:
+        lines.append(f"  diff at {d['e']}: lhs={d['lhs']} rhs={d['rhs']}")
+    return "\n".join(lines)
+
+
+def _run_report(args) -> tuple[int, str]:
+    doc = _VERIFIERS[args.command](args.order)
+    text = _json_text(doc) if args.format == "json" else _report_text(doc)
+    return (0 if doc["matched"] else 1), text
+
+
+def _run_jacobi(args) -> tuple[int, str]:
+    doc = squares.verify_jacobi(args.max_n)
+    rows, gauss_ok, inter_ok = doc["rows"], doc["gauss"], doc["intermediate"]
+    code = 0 if doc["all_match"] and gauss_ok and inter_ok else 1
+    if args.format == "csv":
+        import csv
+
+        buf = io.StringIO()
+        w = csv.DictWriter(buf, fieldnames=["n", "r8_enum", "r8_theta",
+                                            "r8_formula", "match"])
+        w.writeheader()
+        w.writerows(rows)
+        return code, buf.getvalue()
+    if args.format == "json":
+        return code, _json_text(doc)
+    lines = [f"n={r['n']}: {r['r8_enum']} {r['r8_theta']} {r['r8_formula']} "
+             f"{'ok' if r['match'] else 'MISMATCH'}" for r in rows]
+    lines.append(f"gauss: {'ok' if gauss_ok else 'MISMATCH'}; "
+                 f"intermediate: {'ok' if inter_ok else 'MISMATCH'}")
+    return code, "\n".join(lines)
+
+
+def _run_analytic(args) -> tuple[int, str | None]:
+    try:
+        doc = analytic.run_suite(analytic.EvalConfig(q=args.q, tol=args.tol))
+    except (ValueError, ArithmeticError, analytic.ConvergenceError,
+            analytic.PoleProximity, analytic.PrecisionLoss) as exc:
+        # q outside (0, 1), a tol that is not finite or is below double
+        # precision, q so close to 1 that the float products underflow or
+        # fail to converge, so small that rounding swamps B near its zeros,
+        # or a check failing within the rounding bound of what it compares:
+        # a usage error, not a mismatch
+        sys.stderr.write(f"superdenom analytic: error: cannot evaluate at "
+                         f"q={args.q}, tol={args.tol}: {exc}\n")
+        return 2, None
+    code = 0 if doc["ok"] else 1
+    if args.format == "json":
+        return code, _json_text(doc)
+    lines = [f"{k}: {v:.3e}" if isinstance(v, float) else f"{k}: {v}"
+             for k, v in doc.items()]
+    return code, "\n".join(lines)
+
+
+def _run_dump(args) -> tuple[int, str]:
+    return 0, serialize(_DUMPERS[args.expr](args.order))
+
+
 _REQUIRED = object()  # the default of an option a run must give
+
+# name: (help, default --order or None, --format choices, runner, options
+# beyond --order, --format and --output), in the order the usage line and
+# --help list them.  An option maps to (attribute, metavar, default,
+# converter, help); a runner returns the exit status and the text to write,
+# or (2, None) after a usage error it has reported on stderr.
+_COMMANDS = {
+    "verify-denom": ("main affine identity", 24, ("text", "json"),
+                     _run_report, {}),
+    "verify-prefactor": ("product vs cyclotomic series prefactor", 40,
+                         ("text", "json"), _run_report, {}),
+    "verify-finite": ("finite gl(2|2) identity, the q^0 face", 24,
+                      ("text", "json"), _run_report, {}),
+    "verify-sl21": ("affine sl(2|1) identity", 18, ("text", "json"),
+                    _run_report, {}),
+    "verify-talpha-tgamma": ("translation orbit sums along alpha vs gamma", 16,
+                             ("text", "json"), _run_report, {}),
+    "ratio-support": ("support shape and triviality of RHS/LHS", 24,
+                      ("text", "json"), _run_report, {}),
+    "jacobi": ("eight-squares table and identities", None,
+               ("text", "json", "csv"), _run_jacobi, {
+                   "--max-n": ("max_n", "MAX_N", 64, _count("max-n"),
+                               f"last n of the table, at most {MAX_CUTOFF}")}),
+    "analytic": ("floating-point evaluation suite", None, ("text", "json"),
+                 _run_analytic, {
+                     "--q": ("q", "Q", 0.1, _real, "the nome, in (0, 1)"),
+                     "--tol": ("tol", "TOL", 1e-8, _real,
+                               "tolerance of the ratio_one, b_zeros and "
+                               "functional checks")}),
+    "dump": ("serialize a builder output", 24, ("json",), _run_dump, {
+        "--expr": ("expr", "EXPR", _REQUIRED, _choice(tuple(_DUMPERS)),
+                   f"the builder to serialize: {', '.join(_DUMPERS)}")}),
+}
 
 
 def _options(command: str) -> dict:
     """The options of ``command`` after -h/--help, in the order its usage
     and --help list them: option -> (attribute, metavar, default,
     converter, help)."""
-    _, order_default, formats = _COMMANDS[command]
+    _, order_default, formats, _, extra = _COMMANDS[command]
     opts = {}
     if order_default is not None:
         opts["--order"] = ("order", "ORDER", order_default, _count("order"),
@@ -101,18 +184,7 @@ def _options(command: str) -> dict:
                         _choice(formats), "output format")
     opts["--output"] = ("output", "OUTPUT", None, str,
                         "write to file instead of stdout")
-    if command == "jacobi":
-        opts["--max-n"] = ("max_n", "MAX_N", 64, _count("max-n"),
-                           f"last n of the table, at most {MAX_CUTOFF}")
-    elif command == "analytic":
-        opts["--q"] = ("q", "Q", 0.1, _real, "the nome, in (0, 1)")
-        opts["--tol"] = ("tol", "TOL", 1e-8, _real,
-                         "tolerance of the ratio_one, b_zeros and "
-                         "functional checks")
-    elif command == "dump":
-        opts["--expr"] = ("expr", "EXPR", _REQUIRED, _choice(tuple(_DUMPERS)),
-                          f"the builder to serialize: {', '.join(_DUMPERS)}")
-    return opts
+    return opts | extra
 
 
 def _usage(command: str | None) -> str:
@@ -193,10 +265,11 @@ def parse_args(argv) -> SimpleNamespace:
     shortened to a unique prefix, and the last of a repeated option wins.
     -h/--help prints help to stdout and exits 0; a usage error prints a
     usage line and an error line to stderr and exits 2.  Every attribute
-    that `_run` reads is set, None where the command has no such option.
+    that a runner reads is set, None where the command has no such option.
     """
-    args = SimpleNamespace(command=None, order=None, format=None, output=None,
-                           max_n=None, q=None, tol=None, expr=None)
+    args = SimpleNamespace(command=None, **{
+        attribute: None for name in _COMMANDS
+        for attribute, _, _, _, _ in _options(name).values()})
     command, opts, extras = None, {}, []
     names = ("-h", "--help")
     tokens = iter(argv)
@@ -251,96 +324,6 @@ def parse_args(argv) -> SimpleNamespace:
     return args
 
 
-def _json_text(doc: dict) -> str:
-    import json
-
-    return json.dumps(doc, sort_keys=True, indent=2)
-
-
-def _report_text(doc: dict) -> str:
-    lines = [f"{doc['identity']}: "
-             f"{'MATCHED' if doc['matched'] else 'MISMATCH'} "
-             f"(cutoff {doc['cutoff']}, {doc['lhs_terms']} vs "
-             f"{doc['rhs_terms']} terms)"]
-    for d in doc["first_diffs"]:
-        lines.append(f"  diff at {d['e']}: lhs={d['lhs']} rhs={d['rhs']}")
-    return "\n".join(lines)
-
-
-def _run_report(args) -> tuple[int, str]:
-    doc = _VERIFIERS[args.command](args.order)
-    text = _json_text(doc) if args.format == "json" else _report_text(doc)
-    return (0 if doc["matched"] else 1), text
-
-
-def _run_jacobi(args) -> tuple[int, str]:
-    doc = squares.verify_jacobi(args.max_n)
-    rows, gauss_ok, inter_ok = doc["rows"], doc["gauss"], doc["intermediate"]
-    code = 0 if doc["all_match"] and gauss_ok and inter_ok else 1
-    if args.format == "csv":
-        import csv
-
-        buf = io.StringIO()
-        w = csv.DictWriter(buf, fieldnames=["n", "r8_enum", "r8_theta",
-                                            "r8_formula", "match"])
-        w.writeheader()
-        w.writerows(rows)
-        return code, buf.getvalue()
-    if args.format == "json":
-        return code, _json_text(doc)
-    lines = [f"n={r['n']}: {r['r8_enum']} {r['r8_theta']} {r['r8_formula']} "
-             f"{'ok' if r['match'] else 'MISMATCH'}" for r in rows]
-    lines.append(f"gauss: {'ok' if gauss_ok else 'MISMATCH'}; "
-                 f"intermediate: {'ok' if inter_ok else 'MISMATCH'}")
-    return code, "\n".join(lines)
-
-
-def _run_analytic(args) -> tuple[int, str]:
-    rep = analytic.run_suite(analytic.EvalConfig(q=args.q, tol=args.tol))
-    code = 0 if rep["ok"] else 1
-    doc = {
-        "ok": rep["ok"],
-        "ratio_one_max_dev": rep["ratio_one"]["max_deviation"],
-        "b_zero_max": rep["b_zeros"]["max"],
-        "functional_max_dev": rep["functional"]["max_dev"],
-        "limit_dev_a_over_r": rep["limits"]["dev_a_over_r"],
-        "limit_dev_b": rep["limits"]["dev_b"],
-        "an_limits_max_dev": rep["an_limits"]["max_dev"],
-    }
-    if args.format == "json":
-        return code, _json_text(doc)
-    lines = [f"{k}: {v:.3e}" if isinstance(v, float) else f"{k}: {v}"
-             for k, v in doc.items()]
-    return code, "\n".join(lines)
-
-
-def _run_dump(args) -> tuple[int, str]:
-    return 0, serialize(_DUMPERS[args.expr](args.order))
-
-
-def _run(args) -> tuple[int, str | None]:
-    """Run the command: its exit status and its text, or (2, None) after a
-    usage error it has reported on stderr."""
-    if args.command == "jacobi":
-        return _run_jacobi(args)
-    if args.command == "analytic":
-        try:
-            return _run_analytic(args)
-        except (ValueError, ArithmeticError, analytic.ConvergenceError,
-                analytic.PoleProximity, analytic.PrecisionLoss) as exc:
-            # q outside (0, 1), a tol that is not finite or is below double
-            # precision, q so close to 1 that the float products underflow
-            # or fail to converge, so small that rounding swamps B near its
-            # zeros, or a check failing within the rounding bound of what it
-            # compares: a usage error, not a mismatch
-            sys.stderr.write(f"superdenom analytic: error: cannot evaluate at "
-                             f"q={args.q}, tol={args.tol}: {exc}\n")
-            return 2, None
-    if args.command == "dump":
-        return _run_dump(args)
-    return _run_report(args)
-
-
 def _write(out, text: str) -> None:
     """Write text and a final newline to out."""
     out.write(text)
@@ -371,9 +354,10 @@ def _silence(stream) -> None:
 
 def main(argv=None) -> int:
     args = parse_args(sys.argv[1:] if argv is None else argv)
+    run = _COMMANDS[args.command][3]
     if args.output is None:
         try:
-            code, text = _run(args)
+            code, text = run(args)
             if text is not None:
                 _write(sys.stdout, text)
             sys.stdout.flush()  # a reader that went away shows here
@@ -385,7 +369,7 @@ def main(argv=None) -> int:
         # opened before any work, so an unwritable path fails at once, but
         # not truncated: a run that exits 2 leaves an existing file as it was
         open(args.output, "a").close()
-        code, text = _run(args)
+        code, text = run(args)
         if text is not None:
             with open(args.output, "w") as fh:
                 _write(fh, text)

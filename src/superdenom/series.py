@@ -27,15 +27,14 @@ Coordinate tuples and raw exponents appear only where callers see them:
 `from_terms`, the one checked constructor (`deserialize` too builds
 through it), `expand_term`, `items_canonical`, `support`, `diff_up_to`
 and the JSON interchange format.  The lattices of the identities are the
-module constants `GL`, `SL21` and `QL`, and every binomial factor
+module constants `GL` and `SL21`, and every binomial factor
 (1 + s*m)**(-1 if inverse else 1) is a (raw exponents of m, s, inverse)
 triple.
 
 Every rank, 1 included, runs on the slice kernel `_add_shifted`: on a
-rank-1 lattice such as `QL` a key is its one coordinate, which is its
-degree, so slice d holds at most the key d.  The eight-squares check in
-`squares` keeps its q-series as plain coefficient lists and does not use
-this module.
+rank-1 lattice a key is its one coordinate, which is its degree, so slice
+d holds at most the key d.  The eight-squares check in `squares` keeps its
+q-series as plain coefficient lists and does not use this module.
 """
 
 from __future__ import annotations
@@ -117,9 +116,6 @@ class LatticeSpec:
             return NotImplemented
         return self is other or (self.rank == other.rank and self.K == other.K)
 
-    def __hash__(self):
-        return hash((self.rank, self.K))
-
     def to_coords(self, exps):
         if len(exps) != self.rank:
             raise ValueError(f"expected {self.rank} exponents, got {len(exps)}")
@@ -146,7 +142,6 @@ def cone_coords(lattice: LatticeSpec, exps):
 GL = LatticeSpec(4, ((1, 0, 1, 0), (1, 1, 0, 0), (1, 0, 0, 1), (1, 0, 0, 0)))
 # raw exponents (n, b1, b2) of z^n u1^b1 u2^b2; coords (b1+n, b2+n, n)
 SL21 = LatticeSpec(3, ((1, 1, 0), (1, 0, 1), (1, 0, 0)))
-QL = LatticeSpec(1, ((1,),))  # the powers of q
 
 
 def _pack(coords, base: int) -> int:

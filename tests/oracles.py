@@ -20,6 +20,8 @@ from superdenom.series import (
 # A generic rank-3 lattice: K is the identity, so raw exponents are cone
 # coordinates.
 ID3 = LatticeSpec(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+# The rank-1 lattice of the powers of q.
+QL = LatticeSpec(1, ((1,),))
 
 
 def from_coords(lattice, cutoff, terms):

@@ -97,16 +97,16 @@ def test_criterion_09_analytic_suite():
     cfg = analytic.EvalConfig(q=0.1, tol=1e-8)
     rep = analytic.run_suite(cfg)
     ok = (rep["ok"]
-          and rep["ratio_one"]["max_deviation"] < 1e-8
-          and rep["ratio_one"]["n_samples"] == 16
-          and rep["b_zeros"]["max"] < 1e-8
-          and rep["functional"]["max_dev"] < 1e-8
-          and rep["limits"]["dev_a_over_r"] < 1e-3
-          and rep["limits"]["dev_b"] < 1e-3
-          and rep["an_limits"]["max_dev"] < 1e-6)
+          and rep["ratio_one_max_dev"] < 1e-8
+          and analytic.check_ratio_one(cfg)["n_samples"] == 16
+          and rep["b_zero_max"] < 1e-8
+          and rep["functional_max_dev"] < 1e-8
+          and rep["limit_dev_a_over_r"] < 1e-3
+          and rep["limit_dev_b"] < 1e-3
+          and rep["an_limits_max_dev"] < 1e-6)
     _report("analytic suite at q=0.1 within stated tolerances", ok,
-            f"ratio dev {rep['ratio_one']['max_deviation']:.1e}, "
-            f"a_n dev {rep['an_limits']['max_dev']:.1e}")
+            f"ratio dev {rep['ratio_one_max_dev']:.1e}, "
+            f"a_n dev {rep['an_limits_max_dev']:.1e}")
 
 
 def test_criterion_10_property_suites():

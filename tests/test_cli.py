@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from superdenom import cli, roots
+from superdenom import analytic, cli, roots
 from superdenom import identities as ids
 from superdenom.cli import main, parse_args
 from superdenom.series import MAX_CUTOFF
@@ -154,6 +154,12 @@ def test_analytic_json(capsys):
     doc = json.loads(out)
     assert doc["ok"] is True
     assert doc["ratio_one_max_dev"] < 1e-8
+
+
+def test_analytic_json_is_the_suite_verdict(capsys):
+    code, out = run(capsys, "analytic", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == analytic.run_suite(analytic.EvalConfig())
 
 
 def test_analytic_defaults_keep_their_stdout(capsys):
@@ -455,6 +461,19 @@ def test_argv_contract(capsys, argv, code, expected):
     assert usage.startswith(f"usage: {prog} [-h] ")
     assert error.startswith(f"{prog}: error: ")
     assert expected in error
+
+
+_HELP_STDOUT = json.loads(
+    (Path(__file__).parent / "data" / "help_stdout.json").read_text())
+
+
+@pytest.mark.parametrize("command", [None, *cli._COMMANDS])
+def test_help_keeps_its_stdout(capsys, command):
+    argv = [command, "--help"] if command else ["--help"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr() == (_HELP_STDOUT[" ".join(argv)], "")
 
 
 def test_help_after_a_run_lists_every_subcommand_in_order(capsys):

@@ -8,13 +8,12 @@ from operator import add
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import ID3, coeff, degree_slice, from_coords, invert, restrict
+from oracles import ID3, QL, coeff, degree_slice, from_coords, invert, restrict
 
 from superdenom import squares
 from superdenom.report import compare_series
 from superdenom.series import (
     GL,
-    QL,
     SL21,
     BeyondCutoff,
     GradedSeries,

@@ -5,10 +5,10 @@ import inspect
 import itertools
 import math
 
-from oracles import coeff
+from oracles import QL, coeff
 
 from superdenom import squares
-from superdenom.series import MAX_CUTOFF, QL, GradedSeries, mul
+from superdenom.series import MAX_CUTOFF, GradedSeries, mul
 
 
 def test_theta_coefficients():
