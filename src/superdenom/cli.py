@@ -50,13 +50,6 @@ def _count(name: str):
     return convert
 
 
-def _real(value: str) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise ValueError(f"invalid float value: {value!r}") from None
-
-
 def _choice(choices: tuple):
     def convert(value: str) -> str:
         if value not in choices:
@@ -110,19 +103,8 @@ def _run_jacobi(args) -> tuple[int, str]:
     return code, "\n".join(lines)
 
 
-def _run_analytic(args) -> tuple[int, str | None]:
-    try:
-        doc = analytic.run_suite(analytic.EvalConfig(q=args.q, tol=args.tol))
-    except (ValueError, ArithmeticError, analytic.ConvergenceError,
-            analytic.PoleProximity, analytic.PrecisionLoss) as exc:
-        # q outside (0, 1), a tol that is not finite or is below double
-        # precision, q so close to 1 that the float products underflow or
-        # fail to converge, so small that rounding swamps B near its zeros,
-        # or a check failing within the rounding bound of what it compares:
-        # a usage error, not a mismatch
-        sys.stderr.write(f"superdenom analytic: error: cannot evaluate at "
-                         f"q={args.q}, tol={args.tol}: {exc}\n")
-        return 2, None
+def _run_analytic(args) -> tuple[int, str]:
+    doc = analytic.run_suite()
     code = 0 if doc["ok"] else 1
     if args.format == "json":
         return code, _json_text(doc)
@@ -140,8 +122,7 @@ _REQUIRED = object()  # the default of an option a run must give
 # name: (help, default --order or None, --format choices, runner, options
 # beyond --order, --format and --output), in the order the usage line and
 # --help list them.  An option maps to (attribute, metavar, default,
-# converter, help); a runner returns the exit status and the text to write,
-# or (2, None) after a usage error it has reported on stderr.
+# converter, help); a runner returns (exit status, text).
 _COMMANDS = {
     "verify-denom": ("main affine identity", 24, ("text", "json"),
                      _run_report, {}),
@@ -160,11 +141,7 @@ _COMMANDS = {
                    "--max-n": ("max_n", "MAX_N", 64, _count("max-n"),
                                f"last n of the table, at most {MAX_CUTOFF}")}),
     "analytic": ("floating-point evaluation suite", None, ("text", "json"),
-                 _run_analytic, {
-                     "--q": ("q", "Q", 0.1, _real, "the nome, in (0, 1)"),
-                     "--tol": ("tol", "TOL", 1e-8, _real,
-                               "tolerance of the ratio_one, b_zeros and "
-                               "functional checks")}),
+                 _run_analytic, {}),
     "dump": ("serialize a builder output", 24, ("json",), _run_dump, {
         "--expr": ("expr", "EXPR", _REQUIRED, _choice(tuple(_DUMPERS)),
                    f"the builder to serialize: {', '.join(_DUMPERS)}")}),
@@ -358,8 +335,7 @@ def main(argv=None) -> int:
     if args.output is None:
         try:
             code, text = run(args)
-            if text is not None:
-                _write(sys.stdout, text)
+            _write(sys.stdout, text)
             sys.stdout.flush()  # a reader that went away shows here
             return code
         except OSError as exc:
@@ -367,12 +343,11 @@ def main(argv=None) -> int:
             return _cannot_write("stdout", exc)
     try:
         # opened before any work, so an unwritable path fails at once, but
-        # not truncated: a run that exits 2 leaves an existing file as it was
+        # not truncated: a run that raises leaves an existing file as it was
         open(args.output, "a").close()
         code, text = run(args)
-        if text is not None:
-            with open(args.output, "w") as fh:
-                _write(fh, text)
+        with open(args.output, "w") as fh:
+            _write(fh, text)
         return code
     except OSError as exc:
         return _cannot_write(repr(args.output), exc)

@@ -6,6 +6,10 @@ built only through the checked `GradedSeries.from_terms` and read only
 through `GradedSeries.items_canonical`.
 """
 
+import math
+import sys
+
+from superdenom.analytic import TAIL_EPS
 from superdenom.series import (
     BeyondCutoff,
     GradedSeries,
@@ -88,3 +92,33 @@ def eval_series(s, values):
                 v *= val ** e
         total += v
     return total
+
+
+# -- float evaluation ----------------------------------------------------------
+
+
+def pole_distance(q, y):
+    """Relative distance |y^2 -+ q^m| / q^m of y^2 from the nearest +-q^m,
+    the pole set of B, which stays meaningful where both are tiny."""
+    m = round(math.log(abs(y) ** 2, q))
+    return min(abs(y * y - s * q ** k) / q ** k
+               for k in range(m - 2, m + 3) for s in (1, -1))
+
+
+def b_rounding_bound(q, y):
+    """A bound on the rounding of B(y): eps times the number of summands
+    times the sum of their absolute values, summed to the point where
+    `analytic.eval_B` stops."""
+    def parts(n):
+        t = q ** n
+        return [t / ((1 + t * y) * (1 + t * y * y)),
+                t / ((1 - t * y) * (1 - t * y * y))]
+
+    total, size, n = sum(parts(0)), sum(map(abs, parts(0))), 0
+    while True:
+        n += 1
+        pair = parts(n) + parts(-n)
+        total += sum(pair)
+        size += sum(map(abs, pair))
+        if abs(sum(pair)) < TAIL_EPS * max(1.0, abs(total)):
+            return sys.float_info.epsilon * (4 * n + 2) * size

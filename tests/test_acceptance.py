@@ -94,11 +94,10 @@ def test_criterion_08_eight_squares():
 
 
 def test_criterion_09_analytic_suite():
-    cfg = analytic.EvalConfig(q=0.1, tol=1e-8)
-    rep = analytic.run_suite(cfg)
+    rep = analytic.run_suite()
     ok = (rep["ok"]
           and rep["ratio_one_max_dev"] < 1e-8
-          and analytic.check_ratio_one(cfg)["n_samples"] == 16
+          and analytic.check_ratio_one(analytic.Q)["n_samples"] == 16
           and rep["b_zero_max"] < 1e-8
           and rep["functional_max_dev"] < 1e-8
           and rep["limit_dev_a_over_r"] < 1e-3

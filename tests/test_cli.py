@@ -159,11 +159,10 @@ def test_analytic_json(capsys):
 def test_analytic_json_is_the_suite_verdict(capsys):
     code, out = run(capsys, "analytic", "--format", "json")
     assert code == 0
-    assert json.loads(out) == analytic.run_suite(analytic.EvalConfig())
+    assert json.loads(out) == analytic.run_suite()
 
 
 def test_analytic_defaults_keep_their_stdout(capsys):
-    # the lower bound on tol leaves the default tol of 1e-8 alone
     code, out = run(capsys, "analytic")
     assert code == 0
     assert out == ("ok: True\n"
@@ -180,73 +179,24 @@ def test_analytic_defaults_keep_their_stdout(capsys):
                                   ["--tol", "1e-300"],
                                   *[["--q", q] for q in ("1e-10", "1e-14",
                                                          "1e-20", "1e-30",
-                                                         "0.8", "0.9")]],
+                                                         "0.8", "0.9", "0.1")],
+                                  ["--tol", "1e-8"]],
                          ids=["1.5", "0.999", "tol-nan", "tol-inf", "tol-1e-300",
-                              "1e-10", "1e-14", "1e-20", "1e-30", "0.8", "0.9"])
+                              "1e-10", "1e-14", "1e-20", "1e-30", "0.8", "0.9",
+                              "0.1", "tol-1e-8"])
 def test_analytic_unusable_q_is_usage_error(capsys, argv):
-    # 1.5 is outside (0, 1); at 0.999 the float products underflow to 0;
-    # a tolerance must be finite, and no float check meets one below the
-    # double-precision epsilon; at 1e-10 and below the summands of B near
-    # its zeros y^3 = -q^m grow like a power of 1/q and cancel, so rounding
-    # can move B by more than tol; at 0.8 and 0.9 the checks that read B
-    # fail while its rounding bound relative to |B| reaches 4e-4 and 1e4,
-    # so they cannot tell a false identity from lost precision
-    code = main(["analytic", *argv])
+    # the suite runs at one fixed nome and tolerance, so any --q or --tol,
+    # the defaults included, is an unknown option
+    with pytest.raises(SystemExit) as exc:
+        main(["analytic", *argv])
     captured = capsys.readouterr()
-    assert code == 2
+    assert exc.value.code == 2
     assert captured.out == ""
-    assert len(captured.err.splitlines()) == 1
-    assert "cannot evaluate at q=" in captured.err
-    assert "Traceback" not in captured.err
-
-
-@pytest.mark.parametrize("q", ["0.01", "0.001"])
-def test_analytic_small_q_is_resolved(capsys, q):
-    # B is also evaluated at q*y, where y^2 and the nearest q^m are both
-    # tiny: the pole guard measures |y^2 -+ q^m| relative to q^m, so a small
-    # q is no usage error
-    code = main(["analytic", "--q", q])
-    captured = capsys.readouterr()
-    assert code == 0
-    assert captured.err == ""
-    assert captured.out.startswith("ok: True\n")
-
-
-_RESOLVED_STDOUT = {
-    "0.01": ("2.665e-15", "7.959e-15", "1.927e-15", "9.999e-05", "2.500e-05",
-             "7.916e-11"),
-    "0.2": ("2.223e-15", "1.457e-15", "4.217e-15", "9.995e-05", "2.499e-05",
-            "7.916e-11"),
-    "0.7": ("3.520e-11", "5.397e-16", "2.755e-11", "9.896e-05", "2.474e-05",
-            "2.139e-10"),
-}
-
-
-@pytest.mark.parametrize("q", sorted(_RESOLVED_STDOUT))
-def test_analytic_resolved_q_keeps_its_stdout(capsys, q):
-    # at q = 0.7 the rounding bound of B relative to |B| exceeds the default
-    # tol, yet every check passes, so the run stands
-    code = main(["analytic", "--q", q])
-    captured = capsys.readouterr()
-    assert code == 0
-    assert captured.err == ""
-    keys = ("ratio_one_max_dev", "b_zero_max", "functional_max_dev",
-            "limit_dev_a_over_r", "limit_dev_b", "an_limits_max_dev")
-    assert captured.out == "ok: True\n" + "".join(
-        f"{k}: {v}\n" for k, v in zip(keys, _RESOLVED_STDOUT[q]))
-
-
-@pytest.mark.parametrize("q", ["0.1", "0.2"])
-@pytest.mark.parametrize("tol", ["1e-6", "1e-7"])
-def test_analytic_loose_tol_is_resolved(capsys, q, tol):
-    # the limit check evaluates B 2e-4 from its pole y^2 = 1 on purpose; the
-    # pole guard admits that point whatever the tolerance, so a tolerance
-    # looser than the default passes where the default does
-    code = main(["analytic", "--q", q, "--tol", tol])
-    captured = capsys.readouterr()
-    assert code == 0
-    assert captured.err == ""
-    assert captured.out.startswith("ok: True\n")
+    usage, error = captured.err.splitlines()
+    assert usage == ("usage: superdenom analytic [-h] [--format {text,json}] "
+                     "[--output OUTPUT]")
+    assert error == f"superdenom analytic: error: unrecognized arguments: " \
+                    f"{' '.join(argv)}"
 
 
 @pytest.mark.parametrize("cmd, fmt", [
@@ -290,15 +240,31 @@ def test_output_file(tmp_path, capsys):
     assert doc["matched"] is True
 
 
-def test_usage_error_leaves_existing_output_file(tmp_path, capsys):
-    # the file is opened before the run but truncated only when there is
-    # text to write
+def test_usage_error_leaves_existing_output_file(tmp_path, monkeypatch,
+                                                 fresh_caches, capsys):
+    # the file is opened before the run but truncated only once the run
+    # has its text: a usage error or a run that raises leaves it as it was
     target = tmp_path / "out.txt"
     target.write_text("kept\n")
-    assert main(["analytic", "--q", "1e-12", "--output", str(target)]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-denom", "--order", "-1", "--output", str(target)])
+    assert exc.value.code == 2
     assert target.read_text() == "kept\n"
+
+    def unreadable(order):
+        raise OSError(5, "Input/output error")
+
+    with monkeypatch.context() as m:
+        m.setitem(cli._VERIFIERS, "verify-denom", unreadable)
+        assert main(["verify-denom", "--output", str(target)]) == 2
+    assert target.read_text() == "kept\n"
+    capsys.readouterr()
+    # a run that exits 0 or 1 overwrites it
     assert main(["analytic", "--output", str(target)]) == 0
     assert target.read_text().startswith("ok: True\n")
+    _drop_first_schedule_family(monkeypatch)
+    assert main(["verify-denom", "--order", "8", "--output", str(target)]) == 1
+    assert target.read_text() == _MISMATCH_STDOUT["verify-denom text"]
 
 
 def test_unwritable_output_is_usage_error(tmp_path, capsys):
@@ -388,14 +354,15 @@ def test_parser_defaults():
     # every attribute a run reads is set, None where the command lacks it
     assert vars(parse_args(["verify-denom"])) == {
         "command": "verify-denom", "order": 24, "format": "text",
-        "output": None, "max_n": None, "q": None, "tol": None, "expr": None}
+        "output": None, "max_n": None, "expr": None}
     assert parse_args(["verify-prefactor"]).order == 40
     assert parse_args(["verify-sl21"]).order == 18
     assert vars(parse_args(["jacobi"])) == {
         "command": "jacobi", "order": None, "format": "text", "output": None,
-        "max_n": 64, "q": None, "tol": None, "expr": None}
-    args = parse_args(["analytic"])
-    assert (args.q, args.tol) == (0.1, 1e-8)
+        "max_n": 64, "expr": None}
+    assert vars(parse_args(["analytic"])) == {
+        "command": "analytic", "order": None, "format": "text",
+        "output": None, "max_n": None, "expr": None}
     args = parse_args(["dump", "--expr", "lhs"])
     assert (args.order, args.format, args.expr) == (24, "json", "lhs")
 
