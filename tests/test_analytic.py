@@ -145,6 +145,11 @@ def test_run_suite_on_bare_config():
     assert (rep.pop("ok"), tuple(rep.values())) == (ok, devs)
 
 
+def test_suite_other_base_point():
+    ok, _ = _deviations(0.2)
+    assert ok
+
+
 _OTHER_NOME_DEVIATIONS = {
     0.01: ("2.665e-15", "7.959e-15", "1.927e-15", "9.999e-05", "2.500e-05",
            "7.916e-11"),
