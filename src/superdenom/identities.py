@@ -70,16 +70,6 @@ _PREFACTOR = (
     ((1, 0, 1, -1), Q, -1, True),     # q y1/y2
 )
 
-# The sl(2|1) product side on the (z, u1, u2) lattice as families, as in
-# _SCHEDULE; every step is z.
-Z = (1, 0, 0)
-_SL21_PRODUCT = (
-    ((0, 1, 1), Z, -1, False), ((1, -1, -1), Z, -1, False),  # u1 u2, z/(u1 u2)
-    (Z, Z, -1, False), (Z, Z, -1, False),
-    ((0, 1, 0), Z, +1, True), ((1, -1, 0), Z, +1, True),     # u1, z/u1
-    ((0, 0, 1), Z, +1, True), ((1, 0, -1), Z, +1, True),     # u2, z/u2
-)
-
 # Where P' puts its two families that no schedule entry cancels, (q y2/y1; q)
 # and (q y1/y2; q): before the last four surviving schedule entries.  The
 # division of O by P' then visits 8,757 source terms at N = 24 and 45,349 at
@@ -124,26 +114,30 @@ def _product(lattice, order: int, families) -> GradedSeries:
     return apply_binomials(s, low)
 
 
-def _positive_root_factors(order: int):
-    """The factor (raw exponents of e^{-root}, sign, inverse) of every
-    positive affine root of degree <= order: (1 - e^{-root}) if the root is
-    even, 1/(1 + e^{-root}) if odd.  Imaginary roots s*delta are even, with
-    multiplicity 4 (the Cartan dimension); the finite roots and their
-    parities are the factors of `roots.R_RHO_SEED`, whose root-lattice
-    coordinates are the raw exponents."""
-    fin = roots.R_RHO_SEED
-    out = list(fin)
-    s = 1
-    while True:
-        layer = [((s, sgn * e[1], sgn * e[2], sgn * e[3]), sign, inverse)
-                 for sgn in (1, -1) for e, sign, inverse in fin]
-        layer.extend(((s, 0, 0, 0), -1, False) for _ in range(4))
-        layer = [f for f in layer if GL.degree(f[0]) <= order]
-        if not layer:
-            break
-        out.extend(layer)
-        s += 1
-    return [f for f in out if GL.degree(f[0]) <= order]
+def _root_product(lattice, finite, cartan: int, order: int) -> GradedSeries:
+    """The product over the positive affine roots a of degree <= order of
+    (1 - e^{-a}) for a even and 1/(1 + e^{-a}) for a odd.
+
+    The positive roots are the finite ones v, given as factors (raw
+    exponents of e^{-v}, sign, inverse), s delta + v and s delta - v with
+    the parity of v, and s delta, even with multiplicity `cartan`, for
+    s >= 1; delta is the first basis vector.  Each degree is computed once.
+    One `apply_binomials` call takes the numerators and then the inverse
+    factors, each from the highest degree down.
+    """
+    delta = (1,) + (0,) * (lattice.rank - 1)
+    step = lattice.degree(delta)
+    fin = [(lattice.degree(v), v, sign, inverse) for v, sign, inverse in finite]
+    factors = list(fin)
+    for s in range(1, (order + max(d for d, *_ in fin)) // step + 1):
+        sd = tuple(s * x for x in delta)
+        factors += [(s * step, sd, -1, False)] * cartan
+        factors += [(s * step + c * d, tuple(x + c * y for x, y in zip(sd, v)),
+                     sign, inverse) for c in (1, -1) for d, v, sign, inverse in fin]
+    factors = sorted((f for f in factors if f[0] <= order),
+                     key=lambda f: (f[3], -f[0]))
+    return apply_binomials(GradedSeries.one(lattice, order),
+                           [f[1:] for f in factors])
 
 
 @lru_cache(maxsize=None)
@@ -155,11 +149,11 @@ def build_lhs(order: int) -> GradedSeries:
 
 
 def lhs_from_roots(order: int) -> GradedSeries:
-    """The infinite-product side, one binomial per positive affine root
-    from `_positive_root_factors`: a cross-check of `build_lhs` that is
-    independent of the hand-listed Pochhammer heads of `_SCHEDULE`."""
-    return apply_binomials(GradedSeries.one(GL, order),
-                           _positive_root_factors(order))
+    """The infinite-product side read off the positive roots by
+    `_root_product`, from `roots.R_RHO_SEED` and the Cartan dimension 4: a
+    cross-check of `build_lhs` that is independent of the hand-listed
+    Pochhammer heads of `_SCHEDULE`."""
+    return _root_product(GL, roots.R_RHO_SEED, 4, order)
 
 
 def _divide_by(s: GradedSeries, families) -> GradedSeries:
@@ -305,9 +299,10 @@ def verify_talpha_tgamma(order: int) -> dict:
 
 @lru_cache(maxsize=None)
 def build_sl21_lhs(order: int) -> GradedSeries:
-    """The sl(2|1) product side, the product of the `_SL21_PRODUCT`
-    families."""
-    return _product(SL21, order, _SL21_PRODUCT)
+    """The sl(2|1) product side read off the positive roots by
+    `_root_product`, from `roots.SL21_POSITIVE` and the Cartan dimension
+    2."""
+    return _root_product(SL21, roots.SL21_POSITIVE, 2, order)
 
 
 def _sl21_ring(n: int):

@@ -107,6 +107,8 @@ SL21_ROOTS = RootSystem(((0, 0, 0), (1, 0, -1), (0, -1, 1)), (1, 1, -1),
                         (0, 0, 0), 1, SL21)
 ALPHA_SL21 = (0, 1, 1)                 # beta1 + beta2 = eps1 - eps2
 SL21_SEED = (((0, 1, 0), 1, True),)    # 1 / (1 + e^{-beta1})
+# the finite positive roots alpha' (even), beta1 and beta2 (odd), as in R_RHO_SEED
+SL21_POSITIVE = ((ALPHA_SL21, -1, False), ((0, 1, 0), 1, True), ((0, 0, 1), 1, True))
 
 # name: (root system, translation step mu or None, reflecting root nu or
 # None); ring k holds t_{k mu} and t_{k mu} s_nu, and a group without

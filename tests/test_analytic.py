@@ -27,7 +27,7 @@ from superdenom.analytic import (
 )
 
 
-def test_default_config_samples():
+def test_fixed_samples_stay_off_the_poles():
     assert len(SAMPLES) == 16
     radii = {round(abs(y), 6) for y in SAMPLES}
     assert radii == {0.7, 1.2}
@@ -138,7 +138,7 @@ def test_run_suite():
     assert rep["ok"]
 
 
-def test_run_suite_on_bare_config():
+def test_run_suite_reports_the_checks_at_Q():
     # the suite runs at Q: its verdict is what the checks give there
     ok, devs = _deviations(Q)
     rep = run_suite()

@@ -184,7 +184,7 @@ def test_analytic_defaults_keep_their_stdout(capsys):
                          ids=["1.5", "0.999", "tol-nan", "tol-inf", "tol-1e-300",
                               "1e-10", "1e-14", "1e-20", "1e-30", "0.8", "0.9",
                               "0.1", "tol-1e-8"])
-def test_analytic_unusable_q_is_usage_error(capsys, argv):
+def test_analytic_q_and_tol_are_unknown_options(capsys, argv):
     # the suite runs at one fixed nome and tolerance, so any --q or --tol,
     # the defaults included, is an unknown option
     with pytest.raises(SystemExit) as exc:

@@ -1,25 +1,32 @@
 """Fault injection: a broken builder must be caught by the verifiers.
 
 Each product-side case drops one Pochhammer family from the schedule, flips
-its sign or steps it by q^2 instead of q; each prefactor case does the same
-to one prefactor family, and each sl(2|1) case to one family of the
-sl(2|1) product side, whose step is z.  The build derives every factor of
-a family, its tail and its low binomials, from the family's (head, step),
-so each case changes them all.  A dropped or sign-flipped family changes
-the product first at the degree of its head (its step q has degree 4 > 0,
-z degree 3); a squared step first loses the factor head * step, at that
-degree plus 4 (plus 3 for z).  The mismatch must be reported there, by the
-denominator check and by the ratio check, which divides the orbit sum by
-the quotient P' derived from both gl(2|2) tables: with a wrong P' the ratio
-is P' over the wrong one, which first differs from 1 at that same degree;
-an sl(2|1) case by the sl(2|1) check.  Each orbit-side case drops ring n
-of an orbit sum, which must be reported at the lowest degree of that ring;
-a case that breaks one term of the sl(2|1) rings must be reported there
-by the Weyl-group route.  The Weyl-action cases break `roots.translate`
-or `roots.reflect`, which the closed-form orbit sums do not use.  The
-eight-squares cases break the sign-twisted divisor formula or the theta
-series, which `jacobi` must flag row by row from the lowest failing n, or
-the Gauss product, which it must flag on its gauss and intermediate line.
+its sign or its inverse flag or steps it by q^2 instead of q; each
+prefactor case does the same to one prefactor family.  The build derives
+every factor of a family, its tail and its low binomials, from the
+family's (head, step), so each case changes them all.  A dropped or
+flipped family changes the product first at the degree of its head (its
+step q has degree 4 > 0); a squared step first loses the factor
+head * step, at that degree plus 4.  The mismatch must be reported there,
+by the denominator check and by the ratio check, which divides the orbit
+sum by the quotient P' derived from both gl(2|2) tables: with a wrong P'
+the ratio is P' over the wrong one, which first differs from 1 at that
+same degree.  A broken schedule must also part `build_lhs` from its
+cross-check `lhs_from_roots` at that degree.  The sl(2|1) product side is
+read off its finite positive roots: each sl(2|1) case drops one root of
+`roots.SL21_POSITIVE`, flips its sign or its inverse flag, which changes
+the roots v and delta - v first, at the lower of their degrees, or changes
+the Cartan dimension, which changes the imaginary root delta, of degree 3.
+The sl(2|1) check must report each there, and a changed Cartan dimension
+must also part `lhs_from_roots` from `build_lhs` at the degree 4 of delta.
+Each orbit-side case drops ring n of an orbit sum, which must be reported
+at the lowest degree of that ring; a case that breaks one term of the
+sl(2|1) rings must be reported there by the Weyl-group route.  The
+Weyl-action cases break `roots.translate` or `roots.reflect`, which the
+closed-form orbit sums do not use.  The eight-squares cases break the
+sign-twisted divisor formula or the theta series, which `jacobi` must flag
+row by row from the lowest failing n, or the Gauss product, which it must
+flag on its gauss and intermediate line.
 """
 
 import pytest
@@ -30,57 +37,97 @@ from superdenom import roots
 from superdenom.report import compare_series
 from superdenom.series import SeriesError
 
+# table: its module and lattice
+_TABLES = {"_SCHEDULE": (ids, ids.GL), "_PREFACTOR": (ids, ids.GL),
+           "SL21_POSITIVE": (roots, ids.SL21)}
 
-# table: its lattice and the degree of its step
-_TABLES = {"_SCHEDULE": (ids.GL, 4), "_PREFACTOR": (ids.GL, 4),
-           "_SL21_PRODUCT": (ids.SL21, 3)}
+
+def _delta_degree(lattice):
+    # delta is the first basis vector; it is q, the step of every family, on
+    # GL (degree 4) and z on SL21 (degree 3)
+    return lattice.degree((1,) + (0,) * (lattice.rank - 1))
+
+
+def _first_degree(table, entry):
+    """Where breaking a table entry first changes its product: a family at
+    its head, a finite root v at the lower degree of v and delta - v."""
+    lattice = _TABLES[table][1]
+    d = lattice.degree(entry[0])
+    return min(d, _delta_degree(lattice) - d) if table == "SL21_POSITIVE" else d
 
 
 def _assert_caught_at(table, degree):
-    lattice, _ = _TABLES[table]
-    if table == "_SL21_PRODUCT":
+    lattice = _TABLES[table][1]
+    if table == "SL21_POSITIVE":
         reports = [ids.verify_sl21(18)]
     else:
         reports = [ids.verify_denominator(12), ids.ratio_support_check(12)]
+    if table == "_SCHEDULE":
+        reports.append(compare_series("lhs-cross-check", ids.build_lhs(12),
+                                      ids.lhs_from_roots(12)))
     for rep in reports:
         assert not rep["matched"]
         assert lattice.degree(rep["first_diffs"][0]["e"]) == degree
 
 
-# the schedule cases keep their ids 0..15; the prefactor cases are
-# prefactor-i and the sl(2|1) cases sl21-i
-_FAMILIES = ([pytest.param("_SCHEDULE", i, id=str(i))
-              for i in range(len(ids._SCHEDULE))]
-             + [pytest.param("_PREFACTOR", i, id=f"prefactor-{i}")
-                for i in range(len(ids._PREFACTOR))]
-             + [pytest.param("_SL21_PRODUCT", i, id=f"sl21-{i}")
-                for i in range(len(ids._SL21_PRODUCT))])
+def _break(monkeypatch, table, i, entry):
+    """Set entry i of the table, or drop it if entry is None."""
+    module = _TABLES[table][0]
+    entries = list(getattr(module, table))
+    entries[i:i + 1] = [] if entry is None else [entry]
+    monkeypatch.setattr(module, table, tuple(entries))
 
 
-@pytest.mark.parametrize("table, i", _FAMILIES)
+def _params(tables):
+    # the schedule cases keep their ids 0..15; the prefactor cases are
+    # prefactor-i and the sl(2|1) root cases sl21-i
+    prefix = {"_SCHEDULE": "", "_PREFACTOR": "prefactor-", "SL21_POSITIVE": "sl21-"}
+    return [pytest.param(t, i, id=f"{prefix[t]}{i}") for t in tables
+            for i in range(len(getattr(_TABLES[t][0], t)))]
+
+
+_ALL = _params(_TABLES)
+_FAMILIES = _params(["_SCHEDULE", "_PREFACTOR"])
+
+
+@pytest.mark.parametrize("table, i", _ALL)
 def test_dropped_factor_is_caught(monkeypatch, fresh_caches, table, i):
-    families = getattr(ids, table)
-    monkeypatch.setattr(ids, table, families[:i] + families[i + 1:])
-    _assert_caught_at(table, _TABLES[table][0].degree(families[i][0]))
+    entry = getattr(_TABLES[table][0], table)[i]
+    _break(monkeypatch, table, i, None)
+    _assert_caught_at(table, _first_degree(table, entry))
 
 
-@pytest.mark.parametrize("table, i", _FAMILIES)
+@pytest.mark.parametrize("table, i", _ALL)
 def test_flipped_sign_is_caught(monkeypatch, fresh_caches, table, i):
-    families = list(getattr(ids, table))
-    head, step, sign, inverse = families[i]
-    families[i] = (head, step, -sign, inverse)
-    monkeypatch.setattr(ids, table, tuple(families))
-    _assert_caught_at(table, _TABLES[table][0].degree(head))
+    *rest, sign, inverse = entry = getattr(_TABLES[table][0], table)[i]
+    _break(monkeypatch, table, i, (*rest, -sign, inverse))
+    _assert_caught_at(table, _first_degree(table, entry))
+
+
+@pytest.mark.parametrize("table, i", _ALL)
+def test_flipped_inverse_is_caught(monkeypatch, fresh_caches, table, i):
+    *rest, inverse = entry = getattr(_TABLES[table][0], table)[i]
+    _break(monkeypatch, table, i, (*rest, not inverse))
+    _assert_caught_at(table, _first_degree(table, entry))
 
 
 @pytest.mark.parametrize("table, i", _FAMILIES)
 def test_squared_step_is_caught(monkeypatch, fresh_caches, table, i):
-    families = list(getattr(ids, table))
-    head, step, sign, inverse = families[i]
-    families[i] = (head, tuple(2 * g for g in step), sign, inverse)
-    monkeypatch.setattr(ids, table, tuple(families))
-    lattice, step_degree = _TABLES[table]
-    _assert_caught_at(table, lattice.degree(head) + step_degree)
+    head, step, sign, inverse = getattr(ids, table)[i]
+    _break(monkeypatch, table, i, (head, tuple(2 * g for g in step), sign, inverse))
+    _assert_caught_at(table, ids.GL.degree(head) + _delta_degree(ids.GL))
+
+
+@pytest.mark.parametrize("change", [-1, 1])
+def test_changed_cartan_dimension_is_caught(monkeypatch, fresh_caches, change):
+    # one imaginary root delta too few or too many, in both uses of the rule
+    rule = ids._root_product
+    monkeypatch.setattr(ids, "_root_product", lambda lattice, finite, cartan, order:
+                        rule(lattice, finite, cartan + change, order))
+    _assert_caught_at("SL21_POSITIVE", _delta_degree(ids.SL21))
+    rep = compare_series("lhs-cross-check", ids.build_lhs(12), ids.lhs_from_roots(12))
+    assert not rep["matched"]
+    assert ids.GL.degree(rep["first_diffs"][0]["e"]) == _delta_degree(ids.GL)
 
 
 def _drop_ring(monkeypatch, name, n):
