@@ -152,23 +152,28 @@ def _pack(coords, base: int) -> int:
     return key
 
 
-def _columns(keys, base: int, rank: int):
-    """Coordinate columns of the packed ``keys``: column i lists coordinate
-    i of every key, in their order.
+def _decode(lattice, keys, base: int):
+    """Cone coordinates and raw exponents of the packed ``keys``, as two
+    lists of tuples in their order.
 
-    Works digit by digit over all keys at once, lowest digit first.
+    Works by columns: the keys are unpacked digit by digit, lowest first,
+    into one list per coordinate, and each row of Kinv sums the columns of
+    its nonzero weights, one list over all keys.
     """
-    digits, rest = [], keys
-    for _ in range(rank - 1):
-        digits.append([k % base for k in rest])
+    cols, rest = [], keys
+    for _ in range(lattice.rank - 1):
+        cols.append([k % base for k in rest])
         rest = [k // base for k in rest]
-    digits.append(rest)
-    return digits[::-1]
-
-
-def _unpack(keys, base: int, rank: int):
-    """Coordinate tuples of the packed ``keys``, in their order."""
-    return list(zip(*_columns(keys, base, rank)))
+    cols = [rest, *reversed(cols)]
+    exps = []
+    for row in lattice.Kinv:  # invertible, so no row is zero
+        e = None
+        for w, col in zip(row, cols):
+            if w:
+                part = col if w == 1 else [w * x for x in col]
+                e = part if e is None else list(map(operator.add, e, part))
+        exps.append(e)
+    return list(zip(*cols)), list(zip(*exps))
 
 
 def _empty(cutoff: int):
@@ -269,27 +274,14 @@ class GradedSeries:
         return [e for _, e, _ in self.items_canonical()]
 
     def items_canonical(self):
-        """(coords, raw exponents, coefficient), degree-major then lex order.
-
-        The raw exponents are `LatticeSpec.to_exps` of the coordinates,
-        computed by columns: a slice's keys are unpacked into one list per
-        coordinate, and each row of Kinv sums the columns of its nonzero
-        weights, one list over the whole slice.
-        """
-        base, rank, Kinv = self.cutoff + 1, self.lattice.rank, self.lattice.Kinv
+        """(coords, raw exponents, coefficient), degree-major then lex
+        order; each slice's keys are decoded in one `_decode` call."""
+        base = self.cutoff + 1
         for sl in self._slices:
             if sl:
                 keys = sorted(sl)
-                cols = _columns(keys, base, rank)
-                exps = []
-                for row in Kinv:  # invertible, so no row is zero
-                    e = None
-                    for w, col in zip(row, cols):
-                        if w:
-                            part = col if w == 1 else [w * x for x in col]
-                            e = part if e is None else list(map(operator.add, e, part))
-                    exps.append(e)
-                yield from zip(zip(*cols), zip(*exps), map(sl.__getitem__, keys))
+                yield from zip(*_decode(self.lattice, keys, base),
+                               map(sl.__getitem__, keys))
 
     def diff_up_to(self, other: "GradedSeries", limit=None):
         """Monomials where the two series, of one lattice and one cutoff,
@@ -299,18 +291,18 @@ class GradedSeries:
         canonical order.
         """
         _check_same_ring(self, other)
-        base, rank = self.cutoff + 1, self.lattice.rank
         diffs = []
         for sa, sb in zip(self._slices, other._slices):
             if sa == sb:
                 continue
-            for key in sorted(sa.keys() | sb.keys()):
-                ca, cb = sa.get(key, 0), sb.get(key, 0)
-                if ca != cb:
-                    k, = _unpack((key,), base, rank)
-                    diffs.append((self.lattice.to_exps(k), ca, cb))
-                    if limit is not None and len(diffs) >= limit:
-                        return diffs
+            keys = [k for k in sorted(sa.keys() | sb.keys())
+                    if sa.get(k, 0) != sb.get(k, 0)]
+            if limit is not None:
+                keys = keys[:limit - len(diffs)]
+            _, exps = _decode(self.lattice, keys, self.cutoff + 1)
+            diffs += [(e, sa.get(k, 0), sb.get(k, 0)) for e, k in zip(exps, keys)]
+            if limit is not None and len(diffs) >= limit:
+                return diffs
         return diffs
 
     def __eq__(self, other):

@@ -35,7 +35,7 @@ from superdenom import cli, squares
 from superdenom import identities as ids
 from superdenom import roots
 from superdenom.report import compare_series
-from superdenom.series import SeriesError
+from superdenom.series import GradedSeries, SeriesError, linear_combine
 
 # table: its module and lattice
 _TABLES = {"_SCHEDULE": (ids, ids.GL), "_PREFACTOR": (ids, ids.GL),
@@ -121,9 +121,9 @@ def test_squared_step_is_caught(monkeypatch, fresh_caches, table, i):
 @pytest.mark.parametrize("change", [-1, 1])
 def test_changed_cartan_dimension_is_caught(monkeypatch, fresh_caches, change):
     # one imaginary root delta too few or too many, in both uses of the rule
-    rule = ids._root_product
-    monkeypatch.setattr(ids, "_root_product", lambda lattice, finite, cartan, order:
-                        rule(lattice, finite, cartan + change, order))
+    rule = ids._root_families
+    monkeypatch.setattr(ids, "_root_families", lambda lattice, finite, cartan:
+                        rule(lattice, finite, cartan + change))
     _assert_caught_at("SL21_POSITIVE", _delta_degree(ids.SL21))
     rep = compare_series("lhs-cross-check", ids.build_lhs(12), ids.lhs_from_roots(12))
     assert not rep["matched"]
@@ -198,6 +198,26 @@ def test_reflect_as_identity_is_caught(monkeypatch, fresh_caches):
     rep = ids.verify_finite_identity(24)
     assert not rep["matched"]
     assert ids.GL.degree(rep["first_diffs"][0]["e"]) == 0
+
+
+def test_wgamma_sum_without_its_constant_is_caught(monkeypatch, fresh_caches):
+    # the product form and the W_alpha sum still agree, so the verdict is
+    # that of the failing pair, W_alpha against W_gamma, with its term counts
+    orbit_sum = roots.orbit_sum
+
+    def broken(group, seed, cutoff):
+        s = orbit_sum(group, seed, cutoff)
+        if group != "W_gamma":
+            return s
+        return linear_combine([(1, s), (-1, GradedSeries.one(s.lattice, cutoff))])
+
+    monkeypatch.setattr(roots, "orbit_sum", broken)
+    rep = ids.verify_finite_identity(8)
+    terms = len(orbit_sum("W_alpha", roots.STANDARD_SEED, 8))
+    assert not rep["matched"]
+    assert rep["extra"] == {"product_vs_walpha": True, "walpha_vs_wgamma": False}
+    assert (rep["lhs_terms"], rep["rhs_terms"]) == (terms, terms - 1)
+    assert rep["first_diffs"] == [{"e": [0, 0, 0, 0], "lhs": "1", "rhs": "0"}]
 
 
 def test_untwisted_companion_formula_is_caught(monkeypatch, capsys):

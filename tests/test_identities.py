@@ -66,6 +66,14 @@ def test_lhs_restriction_consistency():
     assert restrict(ids.build_rhs(20), 10) == ids.build_rhs(10)
 
 
+def test_schedule_families_are_the_positive_roots():
+    # the hand-listed families are, as a multiset, (v; q) and (q/v; q) for
+    # the six finite roots v and (q; q) four times; sl(2|1)^ has three
+    # finite roots and Cartan dimension 2
+    assert sorted(ids._SCHEDULE) == sorted(ids._root_families(GL, roots.R_RHO_SEED, 4))
+    assert len(ids._root_families(SL21, roots.SL21_POSITIVE, 2)) == 8
+
+
 def _family_product(order):
     # the product side one whole Pochhammer family after another
     s = GradedSeries.one(GL, order)
@@ -172,6 +180,14 @@ def test_root_rule_makes_few_term_operations(monkeypatch, trace):
     assert max(trace.sizes) <= 1_550
     monkeypatch.undo()
     assert lhs == ids.build_lhs(40)
+
+
+def test_sl21_root_rule_makes_few_term_operations(trace):
+    # the sl(2|1) side's eight families in the root rule's order; the
+    # result has 259 terms
+    assert len(ids.build_sl21_lhs.__wrapped__(60)) == 259
+    assert trace.visited <= 14_037
+    assert max(trace.sizes) <= 965
 
 
 def test_quotient_division_makes_few_term_operations(trace):
