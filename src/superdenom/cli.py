@@ -331,26 +331,25 @@ def _silence(stream) -> None:
 
 def main(argv=None) -> int:
     args = parse_args(sys.argv[1:] if argv is None else argv)
-    run = _COMMANDS[args.command][3]
-    if args.output is None:
-        try:
-            code, text = run(args)
+    run, path = _COMMANDS[args.command][3], args.output
+    try:
+        if path is not None:
+            # opened before any work, so an unwritable path fails at once,
+            # but not truncated: a run that raises leaves the file as it was
+            open(path, "a").close()
+        code, text = run(args)
+        if path is None:
             _write(sys.stdout, text)
             sys.stdout.flush()  # a reader that went away shows here
-            return code
-        except OSError as exc:
-            _silence(sys.stdout)
-            return _cannot_write("stdout", exc)
-    try:
-        # opened before any work, so an unwritable path fails at once, but
-        # not truncated: a run that raises leaves an existing file as it was
-        open(args.output, "a").close()
-        code, text = run(args)
-        with open(args.output, "w") as fh:
-            _write(fh, text)
+        else:
+            with open(path, "w") as fh:
+                _write(fh, text)
         return code
     except OSError as exc:
-        return _cannot_write(repr(args.output), exc)
+        if path is not None:
+            return _cannot_write(repr(path), exc)
+        _silence(sys.stdout)
+        return _cannot_write("stdout", exc)
 
 
 if __name__ == "__main__":

@@ -25,49 +25,49 @@ from .series import (
 
 Q = (1, 0, 0, 0)
 
-# The product side as Pochhammer families (head, step, sign, inverse), each
-# prod_{n>=0} (1 + sign head step^n) or its inverse; every step is q.  A
-# family splits as (h; g)_inf = (1 + sign h)(1 + sign h g) (h g^2; g)_inf.
-# `_product` applies the 16 tails (h g^2; g)_inf first, in this order, then
-# the low binomials, the h g layer before the h layer, families in this order
-# within a layer; divide_by_lhs walks it all backwards.  Low-degree binomials
-# touch nearly every term and grow the series most, so applying them last
-# does the least work.  Counted in source terms the kernel
-# `series._add_shifted` visits, build_lhs(40) costs 59,773 against 91,940 for
-# whole families in the earlier order (64,381 for the split in that order),
-# and build_lhs(24) 11,460 against 14,761 (11,665).  The largest partial
-# product falls from 7,807 to 5,696 terms at N = 40 (the final series has
-# 3,704) and from 1,706 to 1,550 at N = 24 (final 1,183).  The family order
-# came from a local search over single moves of one family that lowers the
-# count at both N = 24 and 40 without raising either peak.  The ratio check
-# does not divide by this product: it divides the orbit sum O by
-# P' = LHS / prefactor, whose families `_quotient_families` derives from
-# this schedule and `_PREFACTOR`.
+# The product side as Pochhammer families (head, sign, inverse), each
+# prod_{n>=0} (1 + sign head q^n) or its inverse: the factor of a finite root
+# and its translates by delta = q.  A family splits as
+# (h; q)_inf = (1 + sign h)(1 + sign h q) (h q^2; q)_inf.  `_product` applies
+# the 16 tails (h q^2; q)_inf first, in this order, then the low binomials,
+# the h q layer before the h layer, families in this order within a layer;
+# divide_by_lhs walks it all backwards.  Low-degree binomials touch nearly
+# every term and grow the series most, so applying them last does the least
+# work.  Counted in source terms the kernel `series._add_shifted` visits,
+# build_lhs(40) costs 59,773 against 91,940 for whole families in the earlier
+# order (64,381 for the split in that order), and build_lhs(24) 11,460
+# against 14,761 (11,665).  The largest partial product falls from 7,807 to
+# 5,696 terms at N = 40 (the final series has 3,704) and from 1,706 to 1,550
+# at N = 24 (final 1,183).  The family order came from a local search over
+# single moves of one family that lowers the count at both N = 24 and 40
+# without raising either peak.  The ratio check does not divide by this
+# product: it divides the orbit sum O by P' = LHS / prefactor, whose families
+# `_quotient_families` derives from this schedule and `_PREFACTOR`.
 _SCHEDULE = (
-    (Q, Q, -1, False),                # 1-q
-    ((0, 1, 0, 0), Q, -1, False),     # x
-    ((1, -1, -1, -1), Q, -1, False),  # q/(x y1 y2)
-    (Q, Q, -1, False), (Q, Q, -1, False),
-    (Q, Q, -1, False),                # with the first: ((1-q)_q^inf)^4
-    ((1, -1, 0, 0), Q, -1, False),    # q/x
-    ((0, 1, 1, 1), Q, -1, False),     # x y1 y2
-    ((1, 0, -1, 0), Q, +1, True),     # q/y1
-    ((1, -1, -1, 0), Q, +1, True),    # q/(x y1)
-    ((1, 0, 0, -1), Q, +1, True),     # q/y2
-    ((0, 1, 1, 0), Q, +1, True),      # x y1
-    ((1, -1, 0, -1), Q, +1, True),    # q/(x y2)
-    ((0, 1, 0, 1), Q, +1, True),      # x y2
-    ((0, 0, 1, 0), Q, +1, True),      # y1
-    ((0, 0, 0, 1), Q, +1, True),      # y2
+    (Q, -1, False),                # 1-q
+    ((0, 1, 0, 0), -1, False),     # x
+    ((1, -1, -1, -1), -1, False),  # q/(x y1 y2)
+    (Q, -1, False), (Q, -1, False),
+    (Q, -1, False),                # with the first: ((1-q)_q^inf)^4
+    ((1, -1, 0, 0), -1, False),    # q/x
+    ((0, 1, 1, 1), -1, False),     # x y1 y2
+    ((1, 0, -1, 0), +1, True),     # q/y1
+    ((1, -1, -1, 0), +1, True),    # q/(x y1)
+    ((1, 0, 0, -1), +1, True),     # q/y2
+    ((0, 1, 1, 0), +1, True),      # x y1
+    ((1, -1, 0, -1), +1, True),    # q/(x y2)
+    ((0, 1, 0, 1), +1, True),      # x y2
+    ((0, 0, 1, 0), +1, True),      # y1
+    ((0, 0, 0, 1), +1, True),      # y2
 )
 
 # The prefactor ((q; q)_inf)^2 / ((q y2/y1; q)_inf (q y1/y2; q)_inf) as
-# families (head, step, sign, inverse), as in _SCHEDULE.
+# families (head, sign, inverse), as in _SCHEDULE.
 _PREFACTOR = (
-    (Q, Q, -1, False),
-    (Q, Q, -1, False),
-    ((1, 0, -1, 1), Q, -1, True),     # q y2/y1
-    ((1, 0, 1, -1), Q, -1, True),     # q y1/y2
+    (Q, -1, False),
+    (Q, -1, False),
+    ((1, 0, -1, 1), -1, True),     # q y2/y1
+    ((1, 0, 1, -1), -1, True),     # q y1/y2
 )
 
 # Where P' puts its two families that no schedule entry cancels, (q y2/y1; q)
@@ -84,22 +84,26 @@ _QUOTIENT_TAIL = 4
 _LOW_LAYERS = 2
 
 
-def _shift(head, step, n):
-    """Raw exponents of head * step^n."""
-    return tuple(h + n * g for h, g in zip(head, step))
+def _delta(lattice):
+    """Raw exponents of delta, the first basis vector: q on GL, z on SL21."""
+    return (1,) + (0,) * (lattice.rank - 1)
+
+
+def _shift(head, n):
+    """Raw exponents of head * delta^n."""
+    return (head[0] + n, *head[1:])
 
 
 def _split_schedule(lattice, order: int, families):
-    """The tails (head, step, sign, inverse) of families, in their order,
-    and the low binomials (monomial, sign, inverse), top layer first, each
-    family's factors derived from its (head, step); binomials above the
-    cutoff are left out."""
-    tails = [(_shift(h, g, _LOW_LAYERS), g, sign, inverse)
-             for h, g, sign, inverse in families]
-    low = [(_shift(h, g, n), sign, inverse)
+    """The tails (head, sign, inverse) of families, in their order, and the
+    low binomials (monomial, sign, inverse), top layer first, derived from
+    each family's head; binomials above the cutoff are left out."""
+    tails = [(_shift(h, _LOW_LAYERS), sign, inverse)
+             for h, sign, inverse in families]
+    low = [(_shift(h, n), sign, inverse)
            for n in reversed(range(_LOW_LAYERS))
-           for h, g, sign, inverse in families
-           if lattice.degree(_shift(h, g, n)) <= order]
+           for h, sign, inverse in families
+           if lattice.degree(_shift(h, n)) <= order]
     return tails, low
 
 
@@ -111,32 +115,32 @@ def _product(lattice, order: int, families) -> GradedSeries:
     `apply_binomials` call, top layer first (see `_split_schedule`)."""
     tails, low = _split_schedule(lattice, order, families)
     s = GradedSeries.one(lattice, order)
-    for head, step, sign, inverse in tails:
-        s = apply_pochhammer(s, head, step, sign, inverse)
+    for head, sign, inverse in tails:
+        s = apply_pochhammer(s, head, _delta(lattice), sign, inverse)
     return apply_binomials(s, low)
 
 
 def _root_families(lattice, finite, cartan: int):
-    """The positive affine roots a as families (head, step, sign, inverse)
-    of factors (1 - e^{-a}) for a even and 1/(1 + e^{-a}) for a odd:
-    (v; delta) and (delta - v; delta) with the parity of v for each finite
-    root v, a factor (raw exponents of e^{-v}, sign, inverse), and
-    (delta; delta), even, `cartan` times; delta is the first basis vector."""
-    delta = (1,) + (0,) * (lattice.rank - 1)
-    return ([(v, delta, sign, inverse) for v, sign, inverse in finite]
-            + [(tuple(d - x for d, x in zip(delta, v)), delta, sign, inverse)
+    """The positive affine roots a as families (head, sign, inverse) of
+    factors (1 - e^{-a}) for a even and 1/(1 + e^{-a}) for a odd: (v; delta)
+    and (delta - v; delta) with the parity of v for each finite root v, a
+    factor (raw exponents of e^{-v}, sign, inverse), and (delta; delta),
+    even, `cartan` times."""
+    return (list(finite)
+            + [(_shift(tuple(-x for x in v), 1), sign, inverse)
                for v, sign, inverse in finite]
-            + [(delta, delta, -1, False)] * cartan)
+            + [(_delta(lattice), -1, False)] * cartan)
 
 
 def _root_product(lattice, order: int, families) -> GradedSeries:
     """The product of families in one `apply_binomials` call: every
     binomial of degree <= order, the numerators first and then the inverse
     factors, each from the highest degree down; ties keep family order."""
+    dg = lattice.degree(_delta(lattice))
     factors = []
-    for head, step, sign, inverse in families:
-        d, dg = lattice.degree(head), lattice.degree(step)
-        factors += [(inverse, -d - n * dg, _shift(head, step, n), sign)
+    for head, sign, inverse in families:
+        d = lattice.degree(head)
+        factors += [(inverse, -d - n * dg, _shift(head, n), sign)
                     for n in range((order - d) // dg + 1)]
     factors.sort(key=lambda f: f[:2])
     return apply_binomials(GradedSeries.one(lattice, order),
@@ -171,8 +175,8 @@ def _divide_by(s: GradedSeries, families) -> GradedSeries:
     tails, low = _split_schedule(s.lattice, s.cutoff, families)
     s = apply_binomials(s, [(e, sign, not inverse)
                             for e, sign, inverse in reversed(low)])
-    for head, step, sign, inverse in reversed(tails):
-        s = apply_pochhammer(s, head, step, sign, not inverse)
+    for head, sign, inverse in reversed(tails):
+        s = apply_pochhammer(s, head, _delta(s.lattice), sign, not inverse)
     return s
 
 
@@ -198,8 +202,8 @@ def _quotient_families():
         if family in rest:
             rest.remove(family)
         else:
-            head, step, sign, inverse = family
-            new.append((head, step, sign, not inverse))
+            head, sign, inverse = family
+            new.append((head, sign, not inverse))
     cut = len(rest) - _QUOTIENT_TAIL
     return rest[:cut] + new + rest[cut:]
 

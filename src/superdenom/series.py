@@ -121,11 +121,6 @@ class LatticeSpec:
             raise ValueError(f"expected {self.rank} exponents, got {len(exps)}")
         return tuple([sum(map(operator.mul, row, exps)) for row in self.K])
 
-    def to_exps(self, coords):
-        if len(coords) != self.rank:
-            raise ValueError(f"expected {self.rank} coordinates, got {len(coords)}")
-        return tuple([sum(map(operator.mul, row, coords)) for row in self.Kinv])
-
     def degree(self, exps) -> int:
         return sum(self.to_coords(exps))
 

@@ -28,10 +28,17 @@ ID3 = LatticeSpec(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 QL = LatticeSpec(1, ((1,),))
 
 
+def to_exps(lattice, coords):
+    """The raw exponents Kinv.c of cone coordinates c."""
+    if len(coords) != lattice.rank:
+        raise ValueError(f"expected {lattice.rank} coordinates, got {len(coords)}")
+    return tuple(sum(k * c for k, c in zip(row, coords)) for row in lattice.Kinv)
+
+
 def from_coords(lattice, cutoff, terms):
     """The series of a {cone coordinates: coefficient} mapping."""
     return GradedSeries.from_terms(
-        lattice, cutoff, {lattice.to_exps(k): c for k, c in terms.items()})
+        lattice, cutoff, {to_exps(lattice, k): c for k, c in terms.items()})
 
 
 def degree_slice(s, d):

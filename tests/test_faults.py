@@ -1,32 +1,31 @@
 """Fault injection: a broken builder must be caught by the verifiers.
 
 Each product-side case drops one Pochhammer family from the schedule, flips
-its sign or its inverse flag or steps it by q^2 instead of q; each
-prefactor case does the same to one prefactor family.  The build derives
-every factor of a family, its tail and its low binomials, from the
-family's (head, step), so each case changes them all.  A dropped or
-flipped family changes the product first at the degree of its head (its
-step q has degree 4 > 0); a squared step first loses the factor
-head * step, at that degree plus 4.  The mismatch must be reported there,
-by the denominator check and by the ratio check, which divides the orbit
-sum by the quotient P' derived from both gl(2|2) tables: with a wrong P'
-the ratio is P' over the wrong one, which first differs from 1 at that
-same degree.  A broken schedule must also part `build_lhs` from its
-cross-check `lhs_from_roots` at that degree.  The sl(2|1) product side is
-read off its finite positive roots: each sl(2|1) case drops one root of
-`roots.SL21_POSITIVE`, flips its sign or its inverse flag, which changes
-the roots v and delta - v first, at the lower of their degrees, or changes
-the Cartan dimension, which changes the imaginary root delta, of degree 3.
-The sl(2|1) check must report each there, and a changed Cartan dimension
-must also part `lhs_from_roots` from `build_lhs` at the degree 4 of delta.
-Each orbit-side case drops ring n of an orbit sum, which must be reported
-at the lowest degree of that ring; a case that breaks one term of the
-sl(2|1) rings must be reported there by the Weyl-group route.  The
-Weyl-action cases break `roots.translate` or `roots.reflect`, which the
-closed-form orbit sums do not use.  The eight-squares cases break the
-sign-twisted divisor formula or the theta series, which `jacobi` must flag
-row by row from the lowest failing n, or the Gauss product, which it must
-flag on its gauss and intermediate line.
+its sign or its inverse flag or starts it one delta = q late; each prefactor
+case does the same to one prefactor family.  The build derives every factor
+of a family, its tail and its low binomials, from the family's head, so each
+case changes them all.  A dropped, flipped or late family changes the
+product first at the degree of its head (q has degree 4 > 0): a late family
+loses its lowest factor, that of the head itself.  The mismatch must be
+reported there, by the denominator check and by the ratio check, which
+divides the orbit sum by the quotient P' derived from both gl(2|2) tables:
+with a wrong P' the ratio is P' over the wrong one, which first differs from
+1 at that same degree.  A broken schedule must also part `build_lhs` from
+its cross-check `lhs_from_roots` at that degree.  The sl(2|1) product side
+is read off its finite positive roots: each sl(2|1) case drops one root of
+`roots.SL21_POSITIVE`, flips its sign or its inverse flag, which changes the
+roots v and delta - v first, at the lower of their degrees, or changes the
+Cartan dimension, which changes the imaginary root delta, of degree 3.  The
+sl(2|1) check must report each there, and a changed Cartan dimension must
+also part `lhs_from_roots` from `build_lhs` at the degree 4 of delta.  Each
+orbit-side case drops ring n of an orbit sum, which must be reported at the
+lowest degree of that ring; a case that breaks one term of the sl(2|1) rings
+must be reported there by the Weyl-group route.  The Weyl-action cases break
+`roots.translate` or `roots.reflect`, which the closed-form orbit sums do
+not use.  The eight-squares cases break the sign-twisted divisor formula or
+the theta series, which `jacobi` must flag row by row from the lowest
+failing n, or the Gauss product, which it must flag on its gauss and
+intermediate line.
 """
 
 import pytest
@@ -43,8 +42,8 @@ _TABLES = {"_SCHEDULE": (ids, ids.GL), "_PREFACTOR": (ids, ids.GL),
 
 
 def _delta_degree(lattice):
-    # delta is the first basis vector; it is q, the step of every family, on
-    # GL (degree 4) and z on SL21 (degree 3)
+    # delta is the first basis vector, the step of every family: q on GL
+    # (degree 4) and z on SL21 (degree 3)
     return lattice.degree((1,) + (0,) * (lattice.rank - 1))
 
 
@@ -112,10 +111,10 @@ def test_flipped_inverse_is_caught(monkeypatch, fresh_caches, table, i):
 
 
 @pytest.mark.parametrize("table, i", _FAMILIES)
-def test_squared_step_is_caught(monkeypatch, fresh_caches, table, i):
-    head, step, sign, inverse = getattr(ids, table)[i]
-    _break(monkeypatch, table, i, (head, tuple(2 * g for g in step), sign, inverse))
-    _assert_caught_at(table, ids.GL.degree(head) + _delta_degree(ids.GL))
+def test_late_head_is_caught(monkeypatch, fresh_caches, table, i):
+    head, sign, inverse = getattr(ids, table)[i]
+    _break(monkeypatch, table, i, ((head[0] + 1, *head[1:]), sign, inverse))
+    _assert_caught_at(table, ids.GL.degree(head))
 
 
 @pytest.mark.parametrize("change", [-1, 1])

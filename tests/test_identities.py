@@ -77,8 +77,8 @@ def test_schedule_families_are_the_positive_roots():
 def _family_product(order):
     # the product side one whole Pochhammer family after another
     s = GradedSeries.one(GL, order)
-    for head, step, sign, inverse in ids._SCHEDULE:
-        s = apply_pochhammer(s, head, step, sign, inverse)
+    for head, sign, inverse in ids._SCHEDULE:
+        s = apply_pochhammer(s, head, ids.Q, sign, inverse)
     return s
 
 

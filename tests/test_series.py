@@ -8,7 +8,16 @@ from operator import add
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import ID3, QL, coeff, degree_slice, from_coords, invert, restrict
+from oracles import (
+    ID3,
+    QL,
+    coeff,
+    degree_slice,
+    from_coords,
+    invert,
+    restrict,
+    to_exps,
+)
 
 from superdenom import squares
 from superdenom.report import compare_series
@@ -81,9 +90,9 @@ def test_unimodular_round_trip():
     for lattice in (GL, ID3, SL21, QL):
         for _ in range(50):
             e = tuple(rng.randrange(-9, 10) for _ in range(lattice.rank))
-            assert lattice.to_exps(lattice.to_coords(e)) == e
+            assert to_exps(lattice, lattice.to_coords(e)) == e
             c = tuple(rng.randrange(0, 10) for _ in range(lattice.rank))
-            assert lattice.to_coords(lattice.to_exps(c)) == c
+            assert lattice.to_coords(to_exps(lattice, c)) == c
 
 
 def test_non_unimodular_rejected():
@@ -333,7 +342,7 @@ def test_carry_boundary_coordinate_at_cutoff(lattice):
         t = from_coords(lattice, n, {top: 3})
         b = from_coords(lattice, n, {below: -2})
         for u in units:
-            g = lattice.to_exps(u)
+            g = to_exps(lattice, u)
             assert apply_binomials(t, [(g, 1, False)]) == t
             assert apply_binomials(t, [(g, -1, True)]) == t
             assert mul(t, from_coords(lattice, n, {u: 1})).is_zero()
@@ -605,7 +614,7 @@ def test_mul_and_linear_combine_match_reference(case, x, y):
         _ref_combine([(y, tb)])
     assert _coord_terms(linear_combine([(x, a), (y, b), (0, a)])) == \
         _ref_combine([(x, ta), (y, tb)])
-    diffs = [(lattice.to_exps(k), ta.get(k, 0), tb.get(k, 0))
+    diffs = [(to_exps(lattice, k), ta.get(k, 0), tb.get(k, 0))
              for k in sorted(ta.keys() | tb.keys(), key=lambda k: (sum(k), k))
              if ta.get(k, 0) != tb.get(k, 0)]
     assert a.diff_up_to(b) == diffs
@@ -638,7 +647,7 @@ def test_apply_binomials_matches_reference(case, data):
         t = _monomial_of_degree(data.draw, lattice.rank, degree)
         sign = data.draw(st.sampled_from([-1, 1]))
         inverse = data.draw(st.booleans())
-        factors.append((lattice.to_exps(t), sign, inverse))
+        factors.append((to_exps(lattice, t), sign, inverse))
         factor = (_ref_geometric(t, -sign, cutoff) if inverse
                   else _ref_combine([(1, {(0,) * lattice.rank: 1}),
                                      (sign, {t: 1} if degree <= cutoff else {})]))
@@ -783,3 +792,26 @@ def test_serialize_bytes_equal_json_dumps():
 def test_deserialize_rejects_malformed(text):
     with pytest.raises(SeriesError):
         deserialize(text)
+
+
+@st.composite
+def mutated_streams(draw):
+    """The `serialize` stream of a small random series with one character
+    replaced, inserted or deleted at a random place."""
+    lattice, cutoff, (terms, _) = draw(kernel_cases())
+    text = serialize(from_coords(lattice, cutoff, terms))
+    i = draw(st.integers(0, len(text)))
+    new = draw(st.one_of(st.just(""), st.sampled_from('0123456789-.e"[]{},: tn'),
+                         st.characters()))
+    return text[:i] + new + text[i + draw(st.integers(0, 1)):]
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_streams())
+def test_mutated_stream_deserializes_or_raises_series_error(text):
+    # one edit of a valid stream either still reads as a series or is
+    # refused with SeriesError, never with another exception
+    try:
+        deserialize(text)
+    except SeriesError:
+        pass
