@@ -241,12 +241,10 @@ def parse_args(argv) -> SimpleNamespace:
     Options take their value as ``--opt value`` or ``--opt=value``, may be
     shortened to a unique prefix, and the last of a repeated option wins.
     -h/--help prints help to stdout and exits 0; a usage error prints a
-    usage line and an error line to stderr and exits 2.  Every attribute
-    that a runner reads is set, None where the command has no such option.
+    usage line and an error line to stderr and exits 2.  The namespace
+    holds ``command`` and the options of that command only.
     """
-    args = SimpleNamespace(command=None, **{
-        attribute: None for name in _COMMANDS
-        for attribute, _, _, _, _ in _options(name).values()})
+    args = SimpleNamespace(command=None)
     command, opts, extras = None, {}, []
     names = ("-h", "--help")
     tokens = iter(argv)
@@ -292,7 +290,8 @@ def parse_args(argv) -> SimpleNamespace:
     if command is None:
         _fail(None, "the following arguments are required: command")
     missing = [opt for opt, (attribute, _, default, _, _) in opts.items()
-               if default is _REQUIRED and getattr(args, attribute) is None]
+               if default is _REQUIRED
+               and getattr(args, attribute, None) is None]
     if missing:
         _fail(command, f"the following arguments are required: "
                        f"{', '.join(missing)}")

@@ -21,8 +21,9 @@ says whether the product survives the truncation.  The digits are
 big-endian, so int order of keys equals lex order of coordinates and the
 canonical order is (degree, key).  Keys depend on B, so the rule is one
 lattice, one cutoff: `mul`, `linear_combine` and `diff_up_to` take
-operands of one lattice and one cutoff and raise `LatticeMismatch` or
-`BeyondCutoff` otherwise, and no function moves keys to a new base.
+operands of one lattice and one cutoff (`_check_same_ring`), and no
+function moves keys to a new base.  A refused series or stream raises
+`SeriesError`, a bad argument `ValueError`.
 Coordinate tuples and raw exponents appear only where callers see them:
 `from_terms`, the one checked constructor (`deserialize` too builds
 through it), `expand_term`, `items_canonical`, `support`, `diff_up_to`
@@ -47,22 +48,12 @@ import operator
 # cutoff, and the product side grows roughly like N**4.5: at N = 224,
 # `verify-denom` and `ratio-support` take about 16 s each (see README.md).
 MAX_CUTOFF = 224
+# Largest rank that `deserialize` accepts: inverting K is cubic in the rank.
+MAX_RANK = 16
 
 
 class SeriesError(Exception):
-    """Base class for series arithmetic failures."""
-
-
-class LatticeMismatch(SeriesError):
-    pass
-
-
-class SupportViolation(SeriesError):
-    pass
-
-
-class BeyondCutoff(SeriesError):
-    pass
+    """A series operation or stream that this module refuses."""
 
 
 def _invert_unimodular(rows):
@@ -95,18 +86,17 @@ def _invert_unimodular(rows):
 
 
 class LatticeSpec:
-    """Rank and unimodular raw-exponent -> cone-coordinate matrix K (rows).
+    """Unimodular raw-exponent -> cone-coordinate matrix K (rows).
 
-    Immutable by convention; ``Kinv`` is the inverse of K, as int rows.
+    Immutable by convention; ``rank`` is len(K), ``Kinv`` K**-1 as int rows.
     """
 
     __slots__ = ("rank", "K", "Kinv")
 
-    def __init__(self, rank: int, K: tuple[tuple[int, ...], ...]):
-        if rank <= 0:
-            raise ValueError("rank must be positive")
-        if len(K) != rank or any(len(r) != rank for r in K):
-            raise ValueError("K must be rank x rank")
+    def __init__(self, K: tuple[tuple[int, ...], ...]):
+        rank = len(K)
+        if not rank or any(len(r) != rank for r in K):
+            raise ValueError("K must be a nonempty square matrix")
         self.rank = rank
         self.K = K
         self.Kinv = _invert_unimodular(K)
@@ -114,7 +104,7 @@ class LatticeSpec:
     def __eq__(self, other):
         if not isinstance(other, LatticeSpec):
             return NotImplemented
-        return self is other or (self.rank == other.rank and self.K == other.K)
+        return self is other or self.K == other.K
 
     def to_coords(self, exps):
         if len(exps) != self.rank:
@@ -134,9 +124,9 @@ def cone_coords(lattice: LatticeSpec, exps):
 # raw exponents (n, a, b1, b2) of q^n x^a y1^b1 y2^b2; coords
 # (b1+n, a+n, b2+n, n), the dual basis of {y1, x, y2, q/(x y1 y2)}; its q^0
 # face n = 0 is the finite cone a, b1, b2 >= 0 of degree a+b1+b2
-GL = LatticeSpec(4, ((1, 0, 1, 0), (1, 1, 0, 0), (1, 0, 0, 1), (1, 0, 0, 0)))
+GL = LatticeSpec(((1, 0, 1, 0), (1, 1, 0, 0), (1, 0, 0, 1), (1, 0, 0, 0)))
 # raw exponents (n, b1, b2) of z^n u1^b1 u2^b2; coords (b1+n, b2+n, n)
-SL21 = LatticeSpec(3, ((1, 1, 0), (1, 0, 1), (1, 0, 0)))
+SL21 = LatticeSpec(((1, 1, 0), (1, 0, 1), (1, 0, 0)))
 
 
 def _pack(coords, base: int) -> int:
@@ -246,12 +236,12 @@ class GradedSeries:
             if c == 0:
                 continue
             if not all(isinstance(x, int) for x in exps):
-                raise SupportViolation(f"monomial {exps} has a non-int exponent")
+                raise SeriesError(f"monomial {exps} has a non-int exponent")
             coords, in_cone, deg = cone_coords(lattice, exps)
             if not in_cone:
-                raise SupportViolation(f"monomial {exps} outside cone")
+                raise SeriesError(f"monomial {exps} outside cone")
             if deg > cutoff:
-                raise SupportViolation(f"monomial {exps} beyond cutoff {cutoff}")
+                raise SeriesError(f"monomial {exps} beyond cutoff {cutoff}")
             # K is unimodular, so distinct exponents have distinct keys
             slices[deg][_pack(coords, cutoff + 1)] = c
         return cls._of(lattice, cutoff, slices)
@@ -278,7 +268,7 @@ class GradedSeries:
                 yield from zip(*_decode(self.lattice, keys, base),
                                map(sl.__getitem__, keys))
 
-    def diff_up_to(self, other: "GradedSeries", limit=None):
+    def diff_up_to(self, other: "GradedSeries", limit: int):
         """Monomials where the two series, of one lattice and one cutoff,
         differ, at most ``limit`` of them.
 
@@ -292,11 +282,10 @@ class GradedSeries:
                 continue
             keys = [k for k in sorted(sa.keys() | sb.keys())
                     if sa.get(k, 0) != sb.get(k, 0)]
-            if limit is not None:
-                keys = keys[:limit - len(diffs)]
+            keys = keys[:limit - len(diffs)]
             _, exps = _decode(self.lattice, keys, self.cutoff + 1)
             diffs += [(e, sa.get(k, 0), sb.get(k, 0)) for e, k in zip(exps, keys)]
-            if limit is not None and len(diffs) >= limit:
+            if len(diffs) >= limit:
                 return diffs
         return diffs
 
@@ -314,11 +303,13 @@ class GradedSeries:
 
 
 def _check_same_ring(a: GradedSeries, b: GradedSeries):
-    """Raise unless a and b have one lattice and one cutoff."""
+    """Raise SeriesError unless a and b have one lattice and one cutoff,
+    which together fix the key base: K gives a key's digits and the cutoff
+    its base B = cutoff + 1."""
     if a.lattice != b.lattice:
-        raise LatticeMismatch("series over different lattices")
+        raise SeriesError("series over different lattices")
     if a.cutoff != b.cutoff:
-        raise BeyondCutoff(f"series of cutoffs {a.cutoff} and {b.cutoff}")
+        raise SeriesError(f"series of cutoffs {a.cutoff} and {b.cutoff}")
 
 
 def linear_combine(pairs) -> GradedSeries:
@@ -355,7 +346,7 @@ def _monomial_key(exps, coords, base: int):
     with positive degree."""
     deg = sum(coords)
     if deg <= 0 or min(coords) < 0:
-        raise SupportViolation(
+        raise SeriesError(
             f"binomial monomial {exps} must lie in the cone with positive degree")
     return deg, _pack(coords, base)
 
@@ -434,13 +425,13 @@ def expand_term(lattice: LatticeSpec, cutoff: int, sign: int, base,
         elif d <= 0:
             if not inverse and s == -1 and not any(e):
                 return GradedSeries.zero(lattice, cutoff)
-            raise SupportViolation(f"factor {e} of sign {s} and degree {d}")
+            raise SeriesError(f"factor {e} of sign {s} and degree {d}")
         packed.append((*_monomial_key(e, coords, cutoff + 1), s, inverse))
     if not all(isinstance(x, int) for x in base):
-        raise SupportViolation(f"monomial {base} has a non-int exponent")
+        raise SeriesError(f"monomial {base} has a non-int exponent")
     coords, in_cone, deg = cone_coords(lattice, base)
     if not in_cone:
-        raise SupportViolation(f"leading monomial {base} outside cone")
+        raise SeriesError(f"leading monomial {base} outside cone")
     if deg > cutoff:
         return GradedSeries.zero(lattice, cutoff)
     slices = _empty(cutoff)
@@ -512,7 +503,8 @@ def _int_row(x, n: int) -> bool:
 def deserialize(text: str) -> GradedSeries:
     """Inverse of `serialize`; every malformed stream raises SeriesError.
 
-    So does a cutoff above MAX_CUTOFF, before anything is allocated for it.
+    So does a cutoff above MAX_CUTOFF, before anything is allocated for it,
+    a rank above MAX_RANK, before K is inverted, and a rank other than len(K).
     """
     import json
 
@@ -524,13 +516,16 @@ def deserialize(text: str) -> GradedSeries:
         raise SeriesError("malformed series stream: not a JSON object")
     rank, K, cutoff, records = (doc.get(f) for f in ("rank", "K", "cutoff", "terms"))
     if not (_is_int(rank) and _is_int(cutoff) and cutoff >= 0
-            and isinstance(K, list) and all(_int_row(r, rank) for r in K)
+            and isinstance(K, list) and len(K) == rank
+            and all(_int_row(r, rank) for r in K)
             and isinstance(records, list)):
         raise SeriesError("malformed series header: rank, K, cutoff or terms")
     if cutoff > MAX_CUTOFF:
         raise SeriesError(f"series cutoff {cutoff} above the ceiling {MAX_CUTOFF}")
+    if rank > MAX_RANK:
+        raise SeriesError(f"series rank {rank} above the ceiling {MAX_RANK}")
     try:
-        lattice = LatticeSpec(rank, tuple(map(tuple, K)))
+        lattice = LatticeSpec(tuple(map(tuple, K)))
     except ValueError as exc:
         raise SeriesError(f"malformed series lattice: {exc}") from None
     terms = {}

@@ -11,9 +11,9 @@ import sys
 
 from superdenom.analytic import TAIL_EPS
 from superdenom.series import (
-    BeyondCutoff,
     GradedSeries,
     LatticeSpec,
+    SeriesError,
     cone_coords,
     linear_combine,
     mul,
@@ -23,9 +23,9 @@ from superdenom.series import (
 
 # A generic rank-3 lattice: K is the identity, so raw exponents are cone
 # coordinates.
-ID3 = LatticeSpec(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+ID3 = LatticeSpec(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 # The rank-1 lattice of the powers of q.
-QL = LatticeSpec(1, ((1,),))
+QL = LatticeSpec(((1,),))
 
 
 def to_exps(lattice, coords):
@@ -44,13 +44,13 @@ def from_coords(lattice, cutoff, terms):
 def degree_slice(s, d):
     """The monomials of degree exactly d, as {raw exponents: coefficient}."""
     if d > s.cutoff:
-        raise BeyondCutoff(f"degree {d} beyond truncation {s.cutoff}")
+        raise SeriesError(f"degree {d} beyond truncation {s.cutoff}")
     return {e: c for k, e, c in s.items_canonical() if sum(k) == d}
 
 
 def coeff(s, exps):
-    """Exact coefficient of the raw-exponent monomial: 0 outside the cone,
-    BeyondCutoff for an in-cone monomial above the truncation degree."""
+    """Exact coefficient of the raw-exponent monomial: 0 outside the cone;
+    an in-cone monomial above the truncation degree raises SeriesError."""
     _, in_cone, deg = cone_coords(s.lattice, exps)
     if not in_cone:
         return 0
@@ -69,7 +69,7 @@ def restrict(s, m):
     """The truncation law: s cut at the lower cutoff m is the series of
     its terms of degree at most m."""
     if m > s.cutoff:
-        raise BeyondCutoff(f"cannot extend cutoff {s.cutoff} to {m}")
+        raise SeriesError(f"cannot extend cutoff {s.cutoff} to {m}")
     return GradedSeries.from_terms(
         s.lattice, m, {e: c for k, e, c in s.items_canonical() if sum(k) <= m})
 

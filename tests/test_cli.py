@@ -1,15 +1,19 @@
 """Command-line interface: exit codes, formats, determinism."""
 
 import ast
+import contextlib
 import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from superdenom import analytic, cli, roots
 from superdenom import identities as ids
@@ -351,20 +355,19 @@ def test_help_to_a_closed_stdout_exits_zero(unbuffered):
 
 
 def test_parser_defaults():
-    # every attribute a run reads is set, None where the command lacks it
+    # the namespace holds the command and its own options, at their defaults
     assert vars(parse_args(["verify-denom"])) == {
         "command": "verify-denom", "order": 24, "format": "text",
-        "output": None, "max_n": None, "expr": None}
+        "output": None}
     assert parse_args(["verify-prefactor"]).order == 40
     assert parse_args(["verify-sl21"]).order == 18
     assert vars(parse_args(["jacobi"])) == {
-        "command": "jacobi", "order": None, "format": "text", "output": None,
-        "max_n": 64, "expr": None}
+        "command": "jacobi", "format": "text", "output": None, "max_n": 64}
     assert vars(parse_args(["analytic"])) == {
-        "command": "analytic", "order": None, "format": "text",
-        "output": None, "max_n": None, "expr": None}
-    args = parse_args(["dump", "--expr", "lhs"])
-    assert (args.order, args.format, args.expr) == (24, "json", "lhs")
+        "command": "analytic", "format": "text", "output": None}
+    assert vars(parse_args(["dump", "--expr", "lhs"])) == {
+        "command": "dump", "order": 24, "format": "json", "output": None,
+        "expr": "lhs"}
 
 
 VERIFY_DENOM_8 = "verify-denom --order 8"
@@ -428,6 +431,56 @@ def test_argv_contract(capsys, argv, code, expected):
     assert usage.startswith(f"usage: {prog} [-h] ")
     assert error.startswith(f"{prog}: error: ")
     assert expected in error
+
+
+_OPTION_TOKENS = ["--order", "--ord", "--o", "--format", "--max-n", "--expr",
+                  "-h", "--help", "--bogus"]
+_VALUE_TOKENS = ["0", "1", "2", "3", "-1", "+2", "1.5", "\u0663", "",
+                 "text", "json", "csv", *cli._DUMPERS, "225"]
+_COMMAND_TOKEN = st.sampled_from([*cli._COMMANDS, "frobnicate"])
+# no --output, and every accepted order is <= 3
+_TOKEN = _COMMAND_TOKEN | st.sampled_from(
+    [*_OPTION_TOKENS, "--", "-", *_VALUE_TOKENS,
+     *[f"{opt}={value}" for opt in _OPTION_TOKENS for value in _VALUE_TOKENS]])
+
+
+@st.composite
+def argvs(draw):
+    """At most 6 tokens, three in four of them after a command name."""
+    head = [draw(_COMMAND_TOKEN)] if draw(st.integers(0, 3)) else []
+    return head + draw(st.lists(_TOKEN, max_size=6 - len(head)))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=argvs())
+@example(argv=["analytic", "--o="])
+def test_exit_code_contract_holds_for_every_argv(monkeypatch, tmp_path, argv):
+    # a run returns 0 or 1 and help exits 0, with nothing on stderr; a
+    # usage error exits 2 with only a usage and an error line on stderr;
+    # nothing else is raised.  `--o` is `--output` to `jacobi` and
+    # `analytic`: it writes into tmp_path, and an unwritable path returns
+    # 2 with one error line
+    monkeypatch.chdir(tmp_path)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            status, exited = main(argv), False
+        except SystemExit as exc:
+            status, exited = exc.code, True
+    lines = err.getvalue().splitlines()
+    if status != 2:
+        assert status in ((0,) if exited else (0, 1)), (argv, status)
+        assert lines == [], argv
+        return
+    assert out.getvalue() == "", argv
+    if not exited:
+        assert len(lines) == 1, argv
+        assert lines[0].startswith("superdenom: error: cannot write "), argv
+        return
+    usage, error = lines
+    assert usage.startswith("usage: superdenom "), argv
+    assert re.fullmatch(r"superdenom( \S+)?: error: .*", error), argv
 
 
 _HELP_STDOUT = json.loads(

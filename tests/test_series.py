@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 from fractions import Fraction
 from operator import add
 
@@ -19,18 +20,16 @@ from oracles import (
     to_exps,
 )
 
-from superdenom import squares
+from superdenom import series, squares
 from superdenom.report import compare_series
 from superdenom.series import (
     GL,
     SL21,
-    BeyondCutoff,
     GradedSeries,
-    LatticeMismatch,
     LatticeSpec,
     MAX_CUTOFF,
+    MAX_RANK,
     SeriesError,
-    SupportViolation,
     _invert_unimodular,
     apply_binomials,
     apply_pochhammer,
@@ -97,12 +96,15 @@ def test_unimodular_round_trip():
 
 def test_non_unimodular_rejected():
     with pytest.raises(ValueError):
-        LatticeSpec(2, ((2, 0), (0, 1)))
+        LatticeSpec(((2, 0), (0, 1)))
     with pytest.raises(ValueError):
-        LatticeSpec(2, ((1, 1), (1, 1)))
+        LatticeSpec(((1, 1), (1, 1)))
     # det = -2, reached through a row swap
     with pytest.raises(ValueError, match="det=-2"):
-        LatticeSpec(2, ((0, 2), (1, 0)))
+        LatticeSpec(((0, 2), (1, 0)))
+    for K in ((), ((1, 0),), ((1,), (0, 1))):
+        with pytest.raises(ValueError, match="K must be a nonempty square matrix"):
+            LatticeSpec(K)
     with pytest.raises(SeriesError):
         deserialize('{"rank":2,"K":[[0,2],[1,0]],"cutoff":1,"terms":[]}')
 
@@ -157,7 +159,7 @@ def test_invert_unimodular_matches_fraction_reference_600_cases():
         inv = _invert_unimodular(K)
         assert inv == expected, K
         assert all(type(x) is int for row in inv for x in row)
-        assert LatticeSpec(n, K).Kinv == inv
+        assert LatticeSpec(K).Kinv == inv
         # K . Kinv = I
         assert all(sum(K[i][k] * inv[k][j] for k in range(n)) == int(i == j)
                    for i in range(n) for j in range(n))
@@ -174,14 +176,14 @@ def test_monomial_and_coeff():
     assert coeff(s, (1, -1, -1, -1)) == -3
     assert coeff(s, (0, 1, 0, 0)) == 0
     assert coeff(s, (0, -1, 0, 0)) == 0         # out of cone: exactly zero
-    with pytest.raises(BeyondCutoff):
+    with pytest.raises(SeriesError, match="degree 44 beyond truncation 10"):
         coeff(s, (11, 0, 0, 0))                 # in cone, beyond truncation
 
 
 def test_monomial_outside_cone_rejected():
-    with pytest.raises(SupportViolation, match="outside cone"):
+    with pytest.raises(SeriesError, match="outside cone"):
         GradedSeries.from_terms(GL, 10, {(0, 0, -1, 0): 1})
-    with pytest.raises(SupportViolation, match="beyond cutoff 3"):
+    with pytest.raises(SeriesError, match="beyond cutoff 3"):
         GradedSeries.from_terms(GL, 3, {(1, 0, 0, 0): 1})   # q has degree 4
 
 
@@ -192,7 +194,7 @@ def test_from_terms_refuses_what_is_not_an_int_term():
         with pytest.raises(ValueError, match="bad coefficient"):
             GradedSeries.from_terms(QL, 4, {(1,): c})
     for e in ((1.0,), (Fraction(1),), (0, 1.0, 0)):
-        with pytest.raises(SupportViolation, match="non-int exponent"):
+        with pytest.raises(SeriesError, match="non-int exponent"):
             GradedSeries.from_terms(QL if len(e) == 1 else ID3, 4, {e: 1})
     with pytest.raises(ValueError, match="cutoff must be nonnegative"):
         GradedSeries.from_terms(QL, -1, {})
@@ -205,11 +207,11 @@ def test_from_terms_refuses_what_is_not_an_int_term():
 def test_coordinate_rejections_come_from_from_terms():
     # every refusal of the former {cone coordinates: c} constructor, now
     # made by from_terms through the exponents of those coordinates
-    with pytest.raises(SupportViolation, match="outside cone"):
+    with pytest.raises(SeriesError, match="outside cone"):
         from_coords(ID3, 4, {(-1, 0, 0): 1})
-    with pytest.raises(SupportViolation, match="beyond cutoff 4"):
+    with pytest.raises(SeriesError, match="beyond cutoff 4"):
         from_coords(ID3, 4, {(2, 2, 1): 1})
-    with pytest.raises(SupportViolation, match="non-int exponent"):
+    with pytest.raises(SeriesError, match="non-int exponent"):
         from_coords(ID3, 4, {(0.5, 0, 0): 1})
     with pytest.raises(ValueError, match="bad coefficient"):
         from_coords(ID3, 4, {(1, 0, 0): 0.5})
@@ -228,7 +230,7 @@ def test_slice_and_support():
     assert degree_slice(s, 4) == {(1, 0, 0, 0): 5}
     assert degree_slice(s, 2) == {}
     assert s.support() == [(1, -1, -1, -1), (0, 1, 0, 0), (1, 0, 0, 0)]
-    with pytest.raises(BeyondCutoff):
+    with pytest.raises(SeriesError, match="degree 5 beyond truncation 4"):
         degree_slice(s, 5)
 
 
@@ -239,7 +241,7 @@ def test_restrict():
     assert r.cutoff == 4
     assert coeff(r, (1, 0, 0, 0)) == 2
     assert len(r) == 2
-    with pytest.raises(BeyondCutoff):
+    with pytest.raises(SeriesError, match="cannot extend cutoff 4 to 8"):
         restrict(r, 8)
 
 
@@ -266,23 +268,22 @@ def test_mul_small_example():
 _BINARY_OPS = {
     "mul": mul,
     "linear_combine": lambda a, b: linear_combine([(1, a), (2, b)]),
-    "diff_up_to": lambda a, b: a.diff_up_to(b),
+    "diff_up_to": lambda a, b: a.diff_up_to(b, 1),
     "compare_series": lambda a, b: compare_series("pair", a, b),
 }
 
 
 @pytest.mark.parametrize("op", _BINARY_OPS)
-@pytest.mark.parametrize("other, error, message", [
-    pytest.param(GradedSeries.one(ID3, 8), LatticeMismatch, "different lattices",
-                 id="GL-vs-ID3"),
-    pytest.param(GradedSeries.from_terms(GL, 3, {(0, 1, 0, 0): 1}), BeyondCutoff,
+@pytest.mark.parametrize("other, message", [
+    pytest.param(GradedSeries.one(ID3, 8), "different lattices", id="GL-vs-ID3"),
+    pytest.param(GradedSeries.from_terms(GL, 3, {(0, 1, 0, 0): 1}),
                  "cutoffs {} and {}", id="cutoff-8-vs-3"),
 ])
-def test_binary_ops_need_one_lattice_and_one_cutoff(op, other, error, message):
+def test_binary_ops_need_one_lattice_and_one_cutoff(op, other, message):
     a = GradedSeries.from_terms(GL, 8, {(0, 0, 0, 0): 1, (1, 0, 0, 0): 1})
-    with pytest.raises(error, match=message.format(8, 3)):
+    with pytest.raises(SeriesError, match=message.format(8, 3)):
         _BINARY_OPS[op](a, other)
-    with pytest.raises(error, match=message.format(3, 8)):
+    with pytest.raises(SeriesError, match=message.format(3, 8)):
         _BINARY_OPS[op](other, a)
 
 
@@ -357,9 +358,11 @@ def test_carry_boundary_coordinate_at_cutoff(lattice):
 
 def test_binomial_degree_zero_rejected():
     s = GradedSeries.one(ID3, 5)
-    with pytest.raises(SupportViolation):
+    with pytest.raises(SeriesError, match=r"binomial monomial \(0, 0, 0\) must "
+                                          "lie in the cone with positive degree"):
         apply_binomials(s, [((0, 0, 0), 1, False)])
-    with pytest.raises(SupportViolation):
+    with pytest.raises(SeriesError, match=r"binomial monomial \(-1, 0, 0\) must "
+                                          "lie in the cone with positive degree"):
         apply_binomials(s, [((-1, 0, 0), 1, False)])
 
 
@@ -410,7 +413,8 @@ def test_expand_term_negative_degree_rewrite():
 
 
 def test_expand_term_out_of_cone_base():
-    with pytest.raises(SupportViolation):
+    with pytest.raises(SeriesError,
+                       match=r"leading monomial \(-1, 0, 0\) outside cone"):
         expand_term(ID3, 6, 1, (-1, 0, 0))
 
 
@@ -425,7 +429,9 @@ def test_expand_term_unexpandable_factors_rejected():
     for factor in [((0, 0, 0), -1, True), ((0, 0, 0), 1, True),
                    ((0, 0, 0), 1, False), ((1, -1, 0), -1, False),
                    ((1, -1, 0), 1, True), ((-1, 0, 0), 2, False)]:
-        with pytest.raises(SupportViolation):
+        e, sign, _ = factor
+        with pytest.raises(SeriesError,
+                           match=re.escape(f"factor {e} of sign {sign} and degree")):
             expand_term(ID3, 6, 1, (1, 0, 0), [factor])
 
 
@@ -556,7 +562,7 @@ def test_truncation_soundness(a, b, m):
 # monomials of degree 1, cutoff and cutoff + 1 reach both ends of each
 # slice-list zip: the longest shift pairing, a single pair and no pair.
 
-KERNEL_LATTICES = [QL, LatticeSpec(2, ((1, 1), (0, 1))), SL21, GL]
+KERNEL_LATTICES = [QL, LatticeSpec(((1, 1), (0, 1))), SL21, GL]
 
 
 def _ref_mul(a, b, cutoff):
@@ -617,8 +623,8 @@ def test_mul_and_linear_combine_match_reference(case, x, y):
     diffs = [(to_exps(lattice, k), ta.get(k, 0), tb.get(k, 0))
              for k in sorted(ta.keys() | tb.keys(), key=lambda k: (sum(k), k))
              if ta.get(k, 0) != tb.get(k, 0)]
-    assert a.diff_up_to(b) == diffs
-    assert a.diff_up_to(b, limit=2) == diffs[:2]
+    assert a.diff_up_to(b, len(diffs) + 1) == diffs
+    assert a.diff_up_to(b, 2) == diffs[:2]
 
 
 @settings(max_examples=150, deadline=None)
@@ -713,7 +719,7 @@ def test_serialize_round_trip():
     # the exponents are computed column by column, so the lattices include
     # Kinv entries -1 (the skew rank-2 lattice, SL21, GL) and beyond +-1
     rng = random.Random(3)
-    wide = LatticeSpec(3, ((1, 2, 0), (0, 1, 3), (0, 0, 1)))
+    wide = LatticeSpec(((1, 2, 0), (0, 1, 3), (0, 0, 1)))
     assert any(abs(w) > 1 for row in wide.Kinv for w in row)
     for lattice in (*KERNEL_LATTICES, ID3, wide):
         for _ in range(10):
@@ -784,6 +790,9 @@ def test_serialize_bytes_equal_json_dumps():
     '{"rank": 1, "K": [[1]], "cutoff": 3, "terms": [{"k": [1], "e": [1], "c": "x"}]}',
     '{"rank": 1, "K": [[1]], "cutoff": "3", "terms": []}',
     '{"rank": true, "K": [[1]], "cutoff": 3, "terms": []}',
+    # a rank other than len(K)
+    '{"rank": 2, "K": [[1, 0]], "cutoff": 3, "terms": []}',
+    '{"rank": 1, "K": [[1], [1]], "cutoff": 3, "terms": []}',
     # above the ceiling: rejected before one dict per degree is allocated
     f'{{"rank": 1, "K": [[1]], "cutoff": {MAX_CUTOFF + 1}, "terms": []}}',
     # nested deeper than the JSON decoder recurses
@@ -792,6 +801,23 @@ def test_serialize_bytes_equal_json_dumps():
 def test_deserialize_rejects_malformed(text):
     with pytest.raises(SeriesError):
         deserialize(text)
+
+
+def _identity_stream(rank):
+    K = [[int(i == j) for j in range(rank)] for i in range(rank)]
+    return json.dumps({"rank": rank, "K": K, "cutoff": 1, "terms": []})
+
+
+def test_deserialize_refuses_a_rank_above_the_ceiling_before_inverting_k(
+        monkeypatch):
+    assert deserialize(_identity_stream(MAX_RANK)).lattice.rank == MAX_RANK
+
+    def never(rows):
+        raise AssertionError("K was inverted")
+    monkeypatch.setattr(series, "_invert_unimodular", never)
+    with pytest.raises(SeriesError, match=f"series rank {MAX_RANK + 1} above "
+                                          f"the ceiling {MAX_RANK}"):
+        deserialize(_identity_stream(MAX_RANK + 1))
 
 
 @st.composite
