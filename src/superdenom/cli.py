@@ -210,76 +210,56 @@ def _fail(command: str | None, message: str):
     raise SystemExit(2)
 
 
+def _help_exit(command: str | None):
+    """Print the --help text of ``command`` (None: of the program) to
+    stdout and exit with status 0."""
+    try:
+        sys.stdout.write(_help(command))
+        sys.stdout.flush()
+    except OSError:  # the reader went away: it wants no help
+        _silence(sys.stdout)
+    raise SystemExit(0)
+
+
 def _is_value(token: str) -> bool:
-    """Whether a token that names no option is read as a value rather than
-    as an unknown option: it does not start with "-", is "-" alone, is a
-    negative number, or holds a space."""
-    if not token.startswith("-") or token == "-" or " " in token:
-        return True
-    whole, dot, fraction = token[1:].partition(".")
-    return ((whole.isdecimal() and not dot)
-            or (dot and (whole == "" or whole.isdecimal())
-                and fraction.isdecimal()))
-
-
-def _match(command: str | None, names, token: str):
-    """The option that ``token`` names, exactly or by a unique prefix of a
-    long option, and its "=" value or None; (None, None) if it names no
-    option."""
-    name, eq, value = token.partition("=")
-    hits = [name] if name in names else [
-        n for n in names if name.startswith("--") and n.startswith(name)]
-    if len(hits) > 1:
-        _fail(command, f"ambiguous option: {token} could match "
-                       f"{', '.join(hits)}")
-    return (hits[0], value if eq else None) if hits else (None, None)
+    """Whether the token after an option is its value: it does not start
+    with "-", is "-" alone, or is a negative integer."""
+    return not token.startswith("-") or token == "-" or token[1:].isdecimal()
 
 
 def parse_args(argv) -> SimpleNamespace:
     """Parse ``argv`` (without the program name) against `_COMMANDS`.
 
-    Options take their value as ``--opt value`` or ``--opt=value``, may be
-    shortened to a unique prefix, and the last of a repeated option wins.
-    -h/--help prints help to stdout and exits 0; a usage error prints a
-    usage line and an error line to stderr and exits 2.  The namespace
-    holds ``command`` and the options of that command only.
+    The first token is -h/--help or the command.  After it, each option
+    is given by its exact name, as ``--opt value`` or ``--opt=value``, and
+    the last of a repeated option wins; any other token is an
+    unrecognized argument.  -h/--help prints help to stdout and exits 0;
+    a usage error prints a usage line and an error line to stderr and
+    exits 2.  The namespace holds ``command`` and the options of that
+    command only.
     """
-    args = SimpleNamespace(command=None)
-    command, opts, extras = None, {}, []
-    names = ("-h", "--help")
     tokens = iter(argv)
+    command = next(tokens, None)
+    if command in ("-h", "--help"):
+        _help_exit(None)
+    if command is None:
+        _fail(None, "the following arguments are required: command")
+    if command not in _COMMANDS:
+        _fail(None, f"argument command: invalid choice: {command!r} "
+                    f"(choose from {', '.join(map(repr, _COMMANDS))})")
+    args, opts, extras = SimpleNamespace(command=command), _options(command), []
+    for attribute, _, default, _, _ in opts.values():
+        if default is not _REQUIRED:
+            setattr(args, attribute, default)
     for token in tokens:
-        if token == "--":
-            # everything after it is positional, and no command takes one
-            extras += [token, *tokens]
-            break
-        opt, value = _match(command, names, token)
-        if opt is None:
-            if command is not None or not _is_value(token):
-                extras.append(token)  # a positional argument or unknown option
-                continue
-            if token not in _COMMANDS:
-                _fail(None, f"argument command: invalid choice: {token!r} "
-                            f"(choose from {', '.join(map(repr, _COMMANDS))})")
-            command, opts = token, _options(token)
-            names = ("-h", "--help", *opts)
-            args.command = command
-            for attribute, _, default, _, _ in opts.values():
-                if default is not _REQUIRED:
-                    setattr(args, attribute, default)
+        if token in ("-h", "--help"):
+            _help_exit(command)
+        opt, eq, value = token.partition("=")
+        if opt not in opts:
+            extras.append(token)  # a positional argument or unknown option
             continue
-        if opt in ("-h", "--help"):
-            if value is not None:
-                _fail(command, f"argument -h/--help: ignored explicit "
-                               f"argument {value!r}")
-            try:
-                sys.stdout.write(_help(command))
-                sys.stdout.flush()
-            except OSError:  # the reader went away: it wants no help
-                _silence(sys.stdout)
-            raise SystemExit(0)
         attribute, _, _, convert, _ = opts[opt]
-        if value is None:
+        if not eq:
             value = next(tokens, None)
             if value is None or not _is_value(value):
                 _fail(command, f"argument {opt}: expected one argument")
@@ -287,8 +267,6 @@ def parse_args(argv) -> SimpleNamespace:
             setattr(args, attribute, convert(value))
         except ValueError as exc:
             _fail(command, f"argument {opt}: {exc}")
-    if command is None:
-        _fail(None, "the following arguments are required: command")
     missing = [opt for opt, (attribute, _, default, _, _) in opts.items()
                if default is _REQUIRED
                and getattr(args, attribute, None) is None]

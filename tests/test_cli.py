@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from superdenom import analytic, cli, roots
@@ -391,10 +391,15 @@ ARGV_CASES = [
     (["jacobi", "--max-n", "999"], 2,
      f"argument --max-n: max-n 999 is above the ceiling {MAX_CUTOFF}"),
     (["verify-denom", "--order=8"], 0, VERIFY_DENOM_8),
-    (["verify-denom", "--ord", "8"], 0, VERIFY_DENOM_8),
-    (["verify-denom", "--o", "8"], 2,
-     "ambiguous option: --o could match --order, --output"),
+    (["verify-denom", "--ord", "8"], 2, "unrecognized arguments: --ord 8"),
+    (["verify-denom", "--o", "8"], 2, "unrecognized arguments: --o 8"),
     (["verify-denom", "--order"], 2, "argument --order: expected one argument"),
+    (["verify-denom", "--order", "-1.5"], 2,
+     "argument --order: expected one argument"),
+    (["--bogus", "verify-denom"], 2,
+     "argument command: invalid choice: '--bogus' "),
+    (["verify-denom", "-h=1"], 2, "unrecognized arguments: -h=1"),
+    (["verify-denom", "--", "--order", "8"], 2, "unrecognized arguments: --"),
     (["verify-denom", "--order", "4", "--order", "8"], 0, VERIFY_DENOM_8),
 ]
 
@@ -433,12 +438,12 @@ def test_argv_contract(capsys, argv, code, expected):
     assert expected in error
 
 
-_OPTION_TOKENS = ["--order", "--ord", "--o", "--format", "--max-n", "--expr",
-                  "-h", "--help", "--bogus"]
+_OPTION_TOKENS = ["--order", "--ord", "--o", "--out", "--outp", "--format",
+                  "--max-n", "--expr", "-h", "--help", "--bogus"]
 _VALUE_TOKENS = ["0", "1", "2", "3", "-1", "+2", "1.5", "\u0663", "",
                  "text", "json", "csv", *cli._DUMPERS, "225"]
 _COMMAND_TOKEN = st.sampled_from([*cli._COMMANDS, "frobnicate"])
-# no --output, and every accepted order is <= 3
+# no token names --output, and every accepted order is <= 3
 _TOKEN = _COMMAND_TOKEN | st.sampled_from(
     [*_OPTION_TOKENS, "--", "-", *_VALUE_TOKENS,
      *[f"{opt}={value}" for opt in _OPTION_TOKENS for value in _VALUE_TOKENS]])
@@ -454,13 +459,11 @@ def argvs(draw):
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(argv=argvs())
-@example(argv=["analytic", "--o="])
 def test_exit_code_contract_holds_for_every_argv(monkeypatch, tmp_path, argv):
     # a run returns 0 or 1 and help exits 0, with nothing on stderr; a
     # usage error exits 2 with only a usage and an error line on stderr;
-    # nothing else is raised.  `--o` is `--output` to `jacobi` and
-    # `analytic`: it writes into tmp_path, and an unwritable path returns
-    # 2 with one error line
+    # nothing else is raised, and no file is written: a prefix of
+    # --output is no option
     monkeypatch.chdir(tmp_path)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -469,18 +472,74 @@ def test_exit_code_contract_holds_for_every_argv(monkeypatch, tmp_path, argv):
         except SystemExit as exc:
             status, exited = exc.code, True
     lines = err.getvalue().splitlines()
+    assert list(tmp_path.iterdir()) == [], argv
     if status != 2:
         assert status in ((0,) if exited else (0, 1)), (argv, status)
         assert lines == [], argv
         return
-    assert out.getvalue() == "", argv
-    if not exited:
-        assert len(lines) == 1, argv
-        assert lines[0].startswith("superdenom: error: cannot write "), argv
-        return
+    assert exited and out.getvalue() == "", argv
     usage, error = lines
     assert usage.startswith("usage: superdenom "), argv
     assert re.fullmatch(r"superdenom( \S+)?: error: .*", error), argv
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_a_prefix_of_an_option_is_unrecognized(monkeypatch, tmp_path, capsys,
+                                               command):
+    # options are matched by their exact names: `jacobi --o 3` once wrote
+    # its table to a file named 3, as --o was a unique prefix of --output.
+    # dump is given its required --expr, so the prefix is the one error
+    monkeypatch.chdir(tmp_path)
+    required = ["--expr", "lhs"] if command == "dump" else []
+    for name in ("--help", *cli._options(command)):
+        for prefix in (name[:k] for k in range(3, len(name))):
+            with pytest.raises(SystemExit) as exc:
+                main([command, prefix, "3", *required])
+            out, err = capsys.readouterr()
+            assert (exc.value.code, out) == (2, ""), prefix
+            assert err.splitlines()[1] == (f"superdenom {command}: error: "
+                                           f"unrecognized arguments: {prefix} 3")
+            assert list(tmp_path.iterdir()) == [], prefix
+
+
+@st.composite
+def valid_argvs(draw):
+    """A command, its argv of exact `--opt value` and `--opt=value` pairs
+    with valid values (a required option always among them), and the
+    namespace it parses to: the defaults, each drawn option at its last
+    value."""
+    command = draw(st.sampled_from(list(cli._COMMANDS)))
+    opts = cli._options(command)
+    count = st.integers(0, MAX_CUTOFF).map(lambda n: (str(n), n))
+    values = {  # option -> (token, parsed value)
+        "--order": count, "--max-n": count,
+        "--format": st.sampled_from(cli._COMMANDS[command][2]).map(
+            lambda f: (f, f)),
+        "--output": st.text(max_size=8).filter(
+            lambda v: not v.startswith("-")).map(lambda v: (v, v)),
+        "--expr": st.sampled_from(list(cli._DUMPERS)).map(lambda e: (e, e)),
+    }
+    names = draw(st.lists(st.sampled_from(list(opts)), max_size=6))
+    for opt, (_, _, default, _, _) in opts.items():
+        if default is cli._REQUIRED and opt not in names:
+            names.insert(draw(st.integers(0, len(names))), opt)
+    expected = {"command": command}
+    expected |= {attribute: default
+                 for attribute, _, default, _, _ in opts.values()
+                 if default is not cli._REQUIRED}
+    argv = [command]
+    for opt in names:
+        token, value = draw(values[opt])
+        argv += [f"{opt}={token}"] if draw(st.booleans()) else [opt, token]
+        expected[opts[opt][0]] = value
+    return argv, expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=valid_argvs())
+def test_valid_argv_parses_to_its_last_values(case):
+    argv, expected = case
+    assert vars(parse_args(argv)) == expected, argv
 
 
 _HELP_STDOUT = json.loads(
